@@ -234,6 +234,9 @@ size_t Value::Hash() const {
           std::trunc(d) == d) {
         return std::hash<int64_t>{}(static_cast<int64_t>(d));
       }
+      // Every NaN is TotalEquals to every other whatever its sign and
+      // payload bits, so all NaNs share one hash.
+      if (std::isnan(d)) return 0x7ff8000000000000ull;
       return std::hash<double>{}(d);
     }
     case DataType::kString:

@@ -148,6 +148,20 @@ bool ExprsNextValFree(const std::vector<ExprPtr>& exprs) {
   return true;
 }
 
+/// KeyIndex path choice for keys computed by `exprs`: encodable unless an
+/// inferred type is STRING. A type that cannot be inferred keeps the
+/// fallback path, which is correct for any value.
+bool KeyExprsEncodable(const std::vector<ExprPtr>& exprs) {
+  std::vector<DataType> types;
+  types.reserve(exprs.size());
+  for (const ExprPtr& e : exprs) {
+    Result<DataType> type = InferExprType(*e);
+    if (!type.ok()) return false;
+    types.push_back(*type);
+  }
+  return KeyIndex::EncodableTypes(types);
+}
+
 }  // namespace
 
 Result<std::vector<Row>> CollectRows(ExecNode* node) {
@@ -501,12 +515,14 @@ std::string HashJoinNode::detail() const {
 void HashJoinNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   out->emplace_back("build_rows", build_rows_);
-  int64_t buckets = static_cast<int64_t>(hash_table_.size()) + swap_buckets_;
+  int64_t buckets = static_cast<int64_t>(table_.buckets()) + swap_buckets_;
   for (const JoinTable& partition : partitions_) {
-    buckets += static_cast<int64_t>(partition.size());
+    buckets += static_cast<int64_t>(partition.buckets());
   }
   out->emplace_back("buckets", buckets);
   out->emplace_back("est_bytes", build_bytes_);
+  out->emplace_back("encoded_keys", encoded_keys_);
+  out->emplace_back("generic_keys", generic_keys_);
   if (parallel_) {
     out->emplace_back("partitions", static_cast<int64_t>(partitions_.size()));
   }
@@ -534,21 +550,20 @@ Result<bool> HashJoinNode::ComputeKey(const std::vector<ExprPtr>& exprs,
   return true;
 }
 
-const std::vector<Row>* HashJoinNode::FindBucket(const Row& key) const {
-  const JoinTable& table =
-      parallel_ ? partitions_[RowHash{}(key) % partitions_.size()]
-                : hash_table_;
-  auto it = table.find(key);
-  return it == table.end() ? nullptr : &it->second;
+std::span<const uint32_t> HashJoinNode::FindBucket(const Row& key) const {
+  if (parallel_) {
+    return partitions_[RowHash{}(key) % partitions_.size()].Find(key);
+  }
+  return table_.Find(key);
 }
 
 Status HashJoinNode::BuildParallel(int num_threads) {
   // Materialize the build side (morsel-parallel when its subtree allows),
-  // then evaluate all build keys in parallel and scatter the rows into
+  // then evaluate all build keys in parallel and index the rows in
   // fixed-fanout partition tables — one task per partition, each scanning
   // the build rows in index order, so every bucket holds its rows in the
   // serial insertion order.
-  std::vector<Row> build;
+  std::vector<Row>& build = build_side_;
   const int64_t estimate = right_->EstimatedRowCount();
   if (estimate > 0) build.reserve(static_cast<size_t>(estimate));
   MR_RETURN_IF_ERROR(DrainOpenedNode(right_.get(), num_threads, &build));
@@ -580,32 +595,36 @@ Status HashJoinNode::BuildParallel(int num_threads) {
     MR_RETURN_IF_ERROR(FirstError(statuses));
   }
 
-  partitions_.assign(kJoinPartitions, JoinTable());
-  const size_t reserve_hint =
-      (estimate > 0 ? static_cast<size_t>(estimate) : total) /
-          kJoinPartitions +
-      1;
+  // Exact per-partition row counts presize each table.
+  std::vector<size_t> partition_rows(kJoinPartitions, 0);
+  for (size_t i = 0; i < total; ++i) {
+    if (valid[i]) ++partition_rows[partition_of[i]];
+  }
+  partitions_ = std::vector<JoinTable>(kJoinPartitions);
   ParallelFor(kJoinPartitions, num_threads,
               [&](size_t, size_t begin, size_t end) {
                 for (size_t p = begin; p < end; ++p) {
                   JoinTable& table = partitions_[p];
-                  table.reserve(reserve_hint);
+                  table.Reset(right_keys_.size(), encodable_,
+                              partition_rows[p]);
                   for (size_t i = 0; i < total; ++i) {
                     if (valid[i] && partition_of[i] == p) {
-                      // Each row belongs to exactly one partition, so the
-                      // move is owned by this task alone.
-                      table[std::move(keys[i])].push_back(
-                          std::move(build[i]));
+                      table.Add(keys[i], static_cast<uint32_t>(i));
                     }
                   }
+                  table.Seal();
                 }
               });
-  for (size_t i = 0; i < total; ++i) build_rows_ += valid[i] ? 1 : 0;
+  for (size_t p = 0; p < kJoinPartitions; ++p) {
+    build_rows_ += static_cast<int64_t>(partition_rows[p]);
+    NoteKeys(partitions_[p].index());
+  }
   return Status::OK();
 }
 
 Status HashJoinNode::OpenImpl() {
-  hash_table_.clear();
+  build_side_.clear();
+  table_ = JoinTable();
   partitions_.clear();
   left_rows_.clear();
   left_pos_ = 0;
@@ -614,6 +633,8 @@ Status HashJoinNode::OpenImpl() {
   build_consumed_bytes_ = 0;
   spill_bytes_ = 0;
   spill_partitions_ = 0;
+  encoded_keys_ = 0;
+  generic_keys_ = 0;
   spill_.reset();
   probe_skipped_ = false;
   swap_ready_ = false;
@@ -622,6 +643,9 @@ Status HashJoinNode::OpenImpl() {
   swap_pairs_.clear();
   swap_pos_ = 0;
   swap_buckets_ = 0;
+  current_bucket_ = {};
+  bucket_pos_ = 0;
+  encodable_ = KeyExprsEncodable(left_keys_) && KeyExprsEncodable(right_keys_);
   const int num_threads = ctx_->num_threads;
   const bool budget = ctx_->memory_limit >= 0 && pure_;
   // Under a budget the join runs its budgeted serial path: the working set
@@ -645,7 +669,9 @@ Status HashJoinNode::OpenImpl() {
     MR_RETURN_IF_ERROR(BuildParallel(num_threads));
   } else {
     const int64_t estimate = right_->EstimatedRowCount();
-    if (estimate > 0) hash_table_.reserve(static_cast<size_t>(estimate));
+    const size_t expected = estimate > 0 ? static_cast<size_t>(estimate) : 0;
+    table_.Reset(right_keys_.size(), encodable_, expected);
+    build_side_.reserve(expected);
     Row row;
     Row key;
     int consumed_samples = 0;
@@ -660,9 +686,12 @@ Status HashJoinNode::OpenImpl() {
       }
       MR_ASSIGN_OR_RETURN(bool valid, ComputeKey(right_keys_, row, &key));
       if (!valid) continue;
-      hash_table_[key].push_back(std::move(row));
+      table_.Add(key, static_cast<uint32_t>(build_side_.size()));
+      build_side_.push_back(std::move(row));
       ++build_rows_;
     }
+    table_.Seal();
+    NoteKeys(table_.index());
     if (consumed_samples > 0) {
       build_consumed_bytes_ =
           build_consumed_rows_ * (consumed_width / consumed_samples);
@@ -681,17 +710,15 @@ Status HashJoinNode::OpenImpl() {
     int64_t sampled = 0;
     int64_t width_sum = 0;
     auto sample_table = [&](const JoinTable& table) {
-      for (const auto& [key_row, bucket] : table) {
-        for (const Row& r : bucket) {
-          if (seen % stride == 0) {
-            width_sum += EstimateRowBytes(r);
-            ++sampled;
-          }
-          ++seen;
+      for (uint32_t r : table.rows()) {
+        if (seen % stride == 0) {
+          width_sum += EstimateRowBytes(build_side_[r]);
+          ++sampled;
         }
+        ++seen;
       }
     };
-    sample_table(hash_table_);
+    sample_table(table_);
     for (const JoinTable& partition : partitions_) sample_table(partition);
     if (sampled > 0) build_bytes_ = build_rows_ * (width_sum / sampled);
   } else if (build_consumed_rows_ > 0) {
@@ -707,8 +734,6 @@ Status HashJoinNode::OpenImpl() {
   // when that subtree has no observable side effects to preserve.
   if (build_rows_ == 0 && left_->SideEffectFree()) {
     probe_skipped_ = true;
-    current_bucket_ = nullptr;
-    bucket_pos_ = 0;
     return Status::OK();
   }
 
@@ -717,8 +742,6 @@ Status HashJoinNode::OpenImpl() {
     MR_RETURN_IF_ERROR(
         DrainOpenedNode(left_.get(), num_threads, &left_rows_));
   }
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
   return Status::OK();
 }
 
@@ -733,19 +756,21 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
   build_consumed_rows_ = static_cast<int64_t>(swap_build_rows_.size());
   build_consumed_bytes_ = SampledRowsBytes(swap_build_rows_);
 
-  std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> table;
-  table.reserve(swap_build_rows_.size());
+  JoinTable table;
+  table.Reset(left_keys_.size(), encodable_, swap_build_rows_.size());
   {
     Row key;
     for (size_t i = 0; i < swap_build_rows_.size(); ++i) {
       MR_ASSIGN_OR_RETURN(bool valid,
                           ComputeKey(left_keys_, swap_build_rows_[i], &key));
       if (!valid) continue;
-      table[key].push_back(i);
+      table.Add(key, static_cast<uint32_t>(i));
       ++build_rows_;
     }
   }
-  swap_buckets_ = static_cast<int64_t>(table.size());
+  table.Seal();
+  swap_buckets_ = static_cast<int64_t>(table.buckets());
+  NoteKeys(table.index());
   build_bytes_ = build_consumed_bytes_;
   if (build_bytes_ > 0) {
     GlobalMetrics()
@@ -785,9 +810,7 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
       MR_ASSIGN_OR_RETURN(bool valid,
                           ComputeKey(right_keys_, swap_probe_rows_[i], &key));
       if (!valid) continue;
-      auto it = table.find(key);
-      if (it == table.end()) continue;
-      for (size_t l : it->second) {
+      for (size_t l : table.Find(key)) {
         if (residual_ != nullptr) {
           // Residuals are evaluated while buffering (the pair list must be
           // final before morsel consumers index it); the transient joined
@@ -856,29 +879,24 @@ Result<bool> HashJoinNode::NextImpl(Row* out) {
     return true;
   }
   if (spill_ != nullptr) return NextSpill(out);
-  Row key;
   while (true) {
-    if (current_bucket_ != nullptr) {
-      while (bucket_pos_ < current_bucket_->size()) {
-        Row joined =
-            ConcatRows(current_left_, (*current_bucket_)[bucket_pos_++]);
-        if (residual_ != nullptr) {
-          MR_ASSIGN_OR_RETURN(bool pass,
-                              EvalPredicate(*residual_, joined, ctx_));
-          if (!pass) continue;
-        }
-        *out = std::move(joined);
-        return true;
+    while (bucket_pos_ < current_bucket_.size()) {
+      Row joined = ConcatRows(current_left_,
+                              build_side_[current_bucket_[bucket_pos_++]]);
+      if (residual_ != nullptr) {
+        MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, joined, ctx_));
+        if (!pass) continue;
       }
-      current_bucket_ = nullptr;
+      *out = std::move(joined);
+      return true;
     }
     MR_ASSIGN_OR_RETURN(bool more, PullLeft(&current_left_));
     if (!more) return false;
-    MR_ASSIGN_OR_RETURN(bool valid, ComputeKey(left_keys_, current_left_, &key));
-    if (!valid) continue;
-    current_bucket_ = FindBucket(key);
+    MR_ASSIGN_OR_RETURN(bool valid,
+                        ComputeKey(left_keys_, current_left_, &probe_key_));
+    current_bucket_ = valid ? FindBucket(probe_key_)
+                            : std::span<const uint32_t>();
     bucket_pos_ = 0;
-    if (current_bucket_ == nullptr) continue;
   }
 }
 
@@ -886,10 +904,8 @@ Status HashJoinNode::ProbeRow(const Row& left_row, Row* key,
                               std::vector<Row>* out) {
   MR_ASSIGN_OR_RETURN(bool valid, ComputeKey(left_keys_, left_row, key));
   if (!valid) return Status::OK();
-  const std::vector<Row>* bucket = FindBucket(*key);
-  if (bucket == nullptr) return Status::OK();
-  for (const Row& right_row : *bucket) {
-    Row joined = ConcatRows(left_row, right_row);
+  for (uint32_t r : FindBucket(*key)) {
+    Row joined = ConcatRows(left_row, build_side_[r]);
     if (residual_ != nullptr) {
       MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, joined, ctx_));
       if (!pass) continue;
@@ -916,15 +932,6 @@ Status HashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
 // ---------------------------------------------------------------------------
 // HashAggregateNode
 // ---------------------------------------------------------------------------
-
-/// Group state: key -> accumulators, keys kept in first-seen order for
-/// deterministic output. Used both for the serial pass and as the per-morsel
-/// local table of the parallel pass.
-struct HashAggregateNode::GroupTable {
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<AggAccumulator>> states;
-};
 
 HashAggregateNode::HashAggregateNode(ExecNodePtr child,
                                      std::vector<ExprPtr> group_exprs,
@@ -954,6 +961,8 @@ void HashAggregateNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   out->emplace_back("groups", static_cast<int64_t>(results_.size()));
   out->emplace_back("est_bytes", table_bytes_);
+  out->emplace_back("encoded_keys", encoded_keys_);
+  out->emplace_back("generic_keys", generic_keys_);
   if (spill_bytes_ > 0) {
     out->emplace_back("spill_bytes", spill_bytes_);
     out->emplace_back("spill_partitions", spill_partitions_);
@@ -969,31 +978,43 @@ std::vector<AggAccumulator> HashAggregateNode::MakeAccumulators() const {
   return accs;
 }
 
+uint32_t HashAggregateNode::FindOrAddGroup(GroupTable* groups, const Row& key,
+                                           bool* inserted) const {
+  const uint32_t group = groups->index.Insert(key, inserted);
+  if (*inserted) {
+    groups->keys.push_back(key);
+    groups->states.push_back(MakeAccumulators());
+  }
+  return group;
+}
+
+void HashAggregateNode::NoteKeys(const GroupTable& groups) {
+  encoded_keys_ += groups.index.encoded_keys();
+  generic_keys_ += groups.index.generic_keys();
+}
+
 Status HashAggregateNode::AggregateSerial(GroupTable* groups,
                                           MemoryAccountant* accountant) {
   Row row;
+  Row key;  // scratch: a key Row is only copied for a new group
   while (true) {
     MR_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
     if (!more) break;
-    Row key;
-    key.reserve(group_exprs_.size());
+    key.clear();
     for (const ExprPtr& e : group_exprs_) {
       MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx_));
       key.push_back(std::move(v));
     }
-    auto [it, inserted] = groups->index.try_emplace(key, groups->keys.size());
-    if (inserted) {
-      // Account the table as it grows, not just once it is complete: a
-      // query killed mid-aggregation still shows its spike in the gauge.
-      if (accountant != nullptr) {
-        accountant->AddBytes(
-            EstimateRowBytes(key) +
-            static_cast<int64_t>(aggs_.size() * sizeof(AggAccumulator)));
-      }
-      groups->keys.push_back(std::move(key));
-      groups->states.push_back(MakeAccumulators());
+    bool inserted = false;
+    const uint32_t group = FindOrAddGroup(groups, key, &inserted);
+    // Account the table as it grows, not just once it is complete: a query
+    // killed mid-aggregation still shows its spike in the gauge.
+    if (inserted && accountant != nullptr) {
+      accountant->AddBytes(
+          EstimateRowBytes(key) +
+          static_cast<int64_t>(aggs_.size() * sizeof(AggAccumulator)));
     }
-    std::vector<AggAccumulator>& accs = groups->states[it->second];
+    std::vector<AggAccumulator>& accs = groups->states[group];
     for (size_t i = 0; i < aggs_.size(); ++i) {
       Value arg;  // NULL placeholder for COUNT(*)
       if (aggs_[i].arg != nullptr) {
@@ -1022,9 +1043,10 @@ Status HashAggregateNode::AggregateParallel(int num_threads,
           statuses[m] = status;
           return;
         }
+        local.index.Reset(group_exprs_.size(), encodable_, input.size());
+        Row key;
         for (const Row& row : input) {
-          Row key;
-          key.reserve(group_exprs_.size());
+          key.clear();
           for (const ExprPtr& e : group_exprs_) {
             Result<Value> v = EvalExpr(*e, row, ctx_);
             if (!v.ok()) {
@@ -1033,12 +1055,9 @@ Status HashAggregateNode::AggregateParallel(int num_threads,
             }
             key.push_back(std::move(*v));
           }
-          auto [it, inserted] = local.index.try_emplace(key, local.keys.size());
-          if (inserted) {
-            local.keys.push_back(std::move(key));
-            local.states.push_back(MakeAccumulators());
-          }
-          std::vector<AggAccumulator>& accs = local.states[it->second];
+          bool inserted = false;
+          const uint32_t group = FindOrAddGroup(&local, key, &inserted);
+          std::vector<AggAccumulator>& accs = local.states[group];
           for (size_t i = 0; i < aggs_.size(); ++i) {
             Value arg;  // NULL placeholder for COUNT(*)
             if (aggs_[i].arg != nullptr) {
@@ -1067,15 +1086,19 @@ Status HashAggregateNode::AggregateParallel(int num_threads,
   // morsels are contiguous input ranges, so that is exactly the group's
   // first occurrence in input order, and the fold order matches the serial
   // first-seen emission order bit for bit.
+  // The local group counts bound the global one from above.
+  size_t local_groups = 0;
+  for (const GroupTable& local : locals) local_groups += local.keys.size();
+  groups->index.Reset(group_exprs_.size(), encodable_, local_groups);
   for (GroupTable& local : locals) {
     for (size_t j = 0; j < local.keys.size(); ++j) {
-      auto [it, inserted] =
-          groups->index.try_emplace(local.keys[j], groups->keys.size());
+      bool inserted = false;
+      const uint32_t group = groups->index.Insert(local.keys[j], &inserted);
       if (inserted) {
         groups->keys.push_back(std::move(local.keys[j]));
         groups->states.push_back(std::move(local.states[j]));
       } else {
-        std::vector<AggAccumulator>& accs = groups->states[it->second];
+        std::vector<AggAccumulator>& accs = groups->states[group];
         for (size_t i = 0; i < aggs_.size(); ++i) {
           MR_RETURN_IF_ERROR(accs[i].Merge(local.states[j][i]));
         }
@@ -1090,6 +1113,9 @@ Status HashAggregateNode::OpenImpl() {
   pos_ = 0;
   spill_bytes_ = 0;
   spill_partitions_ = 0;
+  encoded_keys_ = 0;
+  generic_keys_ = 0;
+  encodable_ = KeyExprsEncodable(group_exprs_);
   MR_RETURN_IF_ERROR(child_->Open());
   if (ctx_->memory_limit >= 0 && pure_) return OpenBudget();
 
@@ -1100,10 +1126,18 @@ Status HashAggregateNode::OpenImpl() {
   if (parallel) {
     MR_RETURN_IF_ERROR(AggregateParallel(num_threads, &groups));
   } else {
+    // A global aggregate has one group; otherwise the input count bounds
+    // the group count.
+    const int64_t estimate = child_->EstimatedRowCount();
+    const size_t expected =
+        group_exprs_.empty() ? 1
+                             : (estimate > 0 ? static_cast<size_t>(estimate) : 0);
+    groups.index.Reset(group_exprs_.size(), encodable_, expected);
     MemoryAccountant accountant("sql.aggregate.table_peak_bytes",
                                 /*limit=*/-1);
     MR_RETURN_IF_ERROR(AggregateSerial(&groups, &accountant));
   }
+  NoteKeys(groups);
 
   // Global aggregate over empty input still yields one row.
   if (group_exprs_.empty() && groups.keys.empty()) {
@@ -1137,15 +1171,34 @@ Result<bool> HashAggregateNode::NextImpl(Row* out) {
 DistinctNode::DistinctNode(ExecNodePtr child, ExecContext* ctx)
     : ExecNode(child->schema()), child_(std::move(child)), ctx_(ctx) {}
 
+void DistinctNode::AppendExtraCounters(
+    std::vector<std::pair<std::string, int64_t>>* out) const {
+  out->emplace_back("kept_rows", static_cast<int64_t>(seen_.size()));
+  out->emplace_back("est_bytes", seen_.ByteSize() + results_bytes_);
+  out->emplace_back("encoded_keys", seen_.encoded_keys());
+  out->emplace_back("generic_keys", seen_.generic_keys());
+}
+
 Status DistinctNode::OpenImpl() {
-  seen_.clear();
   results_.clear();
+  results_bytes_ = 0;
   pos_ = 0;
   materialized_ = false;
   MR_RETURN_IF_ERROR(child_->Open());
 
+  // The key is the whole row: its types are the output column types.
+  std::vector<DataType> types;
+  for (const Column& column : schema_.columns()) types.push_back(column.type);
+  const size_t width = types.size();
+  const bool encodable = KeyIndex::EncodableTypes(types);
+
   const int num_threads = ctx_->num_threads;
-  if (num_threads == 1 || !child_->SupportsMorsels()) return Status::OK();
+  if (num_threads == 1 || !child_->SupportsMorsels()) {
+    const int64_t estimate = child_->EstimatedRowCount();
+    seen_.Reset(width, encodable,
+                estimate > 0 ? static_cast<size_t>(estimate) : 0);
+    return Status::OK();
+  }
 
   // Parallel: deduplicate each child morsel locally (keeping local first-
   // seen order), then fold the survivors through the global seen-set in
@@ -1165,11 +1218,12 @@ Status DistinctNode::OpenImpl() {
           statuses[m] = status;
           return;
         }
-        std::unordered_set<Row, RowHash, RowEq> local_seen;
+        KeyIndex local_seen;
+        local_seen.Reset(width, encodable, input.size());
         for (Row& row : input) {
-          if (local_seen.insert(row).second) {
-            locals[m].push_back(std::move(row));
-          }
+          bool inserted = false;
+          local_seen.Insert(row, &inserted);
+          if (inserted) locals[m].push_back(std::move(row));
         }
       });
   MR_RETURN_IF_ERROR(FirstError(statuses));
@@ -1177,11 +1231,19 @@ Status DistinctNode::OpenImpl() {
   NoteWorkers(MorselWorkers(total, num_threads));
   NoteDrivenMorsels(static_cast<int64_t>(morsels));
 
+  // The local survivor counts bound the global one from above.
+  size_t survivors = 0;
+  for (const std::vector<Row>& local : locals) survivors += local.size();
+  seen_.Reset(width, encodable, survivors);
+  results_.reserve(survivors);
   for (std::vector<Row>& local : locals) {
     for (Row& row : local) {
-      if (seen_.insert(row).second) results_.push_back(std::move(row));
+      bool inserted = false;
+      seen_.Insert(row, &inserted);
+      if (inserted) results_.push_back(std::move(row));
     }
   }
+  results_bytes_ = SampledRowsBytes(results_);
   return Status::OK();
 }
 
@@ -1194,7 +1256,9 @@ Result<bool> DistinctNode::NextImpl(Row* out) {
   while (true) {
     MR_ASSIGN_OR_RETURN(bool more, child_->Next(out));
     if (!more) return false;
-    if (seen_.insert(*out).second) return true;
+    bool inserted = false;
+    seen_.Insert(*out, &inserted);
+    if (inserted) return true;
   }
 }
 

@@ -3,9 +3,8 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "sql/aggregates.h"
 #include "sql/ast.h"
 #include "sql/expr_eval.h"
+#include "sql/key_index.h"
 
 namespace minerule::sql {
 
@@ -490,12 +490,13 @@ class NestedLoopJoinNode : public ExecNode {
 /// Equi hash join: builds a hash table over the right input keyed on
 /// `right_keys`, probes with `left_keys`. A residual predicate (the
 /// non-equi part of the join condition) filters matches. SQL semantics:
-/// NULL keys never match.
+/// NULL keys never match. Every build table is a JoinTable (KeyIndex plus
+/// build-order row-index lists) over the materialized build rows.
 ///
 /// Parallel mode (ctx->num_threads != 1, expressions NEXTVAL-free): the
 /// build side is materialized and split into kJoinPartitions per-partition
-/// hash tables built concurrently (one task per partition, each scanning
-/// the build rows in index order so bucket contents match the serial
+/// tables built concurrently (one task per partition, each scanning the
+/// build rows in index order so bucket contents match the serial
 /// insertion order); the probe side is materialized and this node becomes a
 /// morsel source — each morsel probes a row range of the probe side, so a
 /// fused parent (or CollectRowsParallel) parallelizes the probe. An empty
@@ -538,13 +539,17 @@ class HashJoinNode : public ExecNode {
                             std::vector<Row>* out) override;
 
  private:
-  using JoinTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
-
   struct Spill;  // grace-hash state, local to operators_spill.cc
 
   Result<bool> ComputeKey(const std::vector<ExprPtr>& exprs, const Row& row,
                           Row* key) const;
-  const std::vector<Row>* FindBucket(const Row& key) const;
+  /// Indexes into build_side_ of the build rows matching `key`.
+  std::span<const uint32_t> FindBucket(const Row& key) const;
+  /// Adds a build table's distinct keys to the encoded/generic counters.
+  void NoteKeys(const KeyIndex& index) {
+    encoded_keys_ += index.encoded_keys();
+    generic_keys_ += index.generic_keys();
+  }
   Status BuildParallel(int num_threads);
   Result<bool> PullLeft(Row* out);
   Status ProbeRow(const Row& left_row, Row* key, std::vector<Row>* out);
@@ -577,6 +582,7 @@ class HashJoinNode : public ExecNode {
   ExprPtr residual_;  // may be null
   ExecContext* ctx_;
   bool pure_ = false;      // keys + residual free of NEXTVAL
+  bool encodable_ = false; // key types allow KeyIndex encoding (at Open)
   bool parallel_ = false;  // decided at Open()
   bool probe_skipped_ = false;
   const bool swap_build_;   // planner request (constructor)
@@ -586,7 +592,10 @@ class HashJoinNode : public ExecNode {
   std::vector<std::pair<size_t, size_t>> swap_pairs_;  // left-major matches
   size_t swap_pos_ = 0;
   int64_t swap_buckets_ = 0;
-  JoinTable hash_table_;               // serial mode
+  /// Build rows the tables index into: the valid-key rows in serial mode,
+  /// every materialized build row in parallel mode.
+  std::vector<Row> build_side_;
+  JoinTable table_;                    // serial mode
   std::vector<JoinTable> partitions_;  // parallel mode, size kJoinPartitions
   std::vector<Row> left_rows_;         // parallel mode: materialized probe side
   size_t left_pos_ = 0;
@@ -599,9 +608,12 @@ class HashJoinNode : public ExecNode {
   int64_t build_consumed_bytes_ = 0;
   int64_t spill_bytes_ = 0;       // spill file bytes written by this open
   int64_t spill_partitions_ = 0;  // leaf partitions joined on the spill path
+  int64_t encoded_keys_ = 0;      // distinct build keys per KeyIndex path
+  int64_t generic_keys_ = 0;
   std::unique_ptr<Spill> spill_;  // non-null only when the build overflowed
   Row current_left_;
-  const std::vector<Row>* current_bucket_ = nullptr;
+  Row probe_key_;  // serial probe scratch
+  std::span<const uint32_t> current_bucket_;
   size_t bucket_pos_ = 0;
 };
 
@@ -645,9 +657,15 @@ class HashAggregateNode : public ExecNode {
   Result<bool> NextImpl(Row* out) override;
 
  private:
-  struct GroupTable;  // local to operators.cc
+  struct GroupTable;  // sql/operators_spill_state.h
 
   std::vector<AggAccumulator> MakeAccumulators() const;
+  /// Id of `key`'s group in *groups, adding the group (a copy of the key
+  /// and fresh accumulators) when it is new.
+  uint32_t FindOrAddGroup(GroupTable* groups, const Row& key,
+                          bool* inserted) const;
+  /// Adds a group table's distinct keys to the encoded/generic counters.
+  void NoteKeys(const GroupTable& groups);
   Status AggregateSerial(GroupTable* groups, MemoryAccountant* accountant);
   Status AggregateParallel(int num_threads, GroupTable* groups);
 
@@ -669,10 +687,13 @@ class HashAggregateNode : public ExecNode {
   ExecContext* ctx_;
   bool pure_ = false;        // group + agg expressions free of NEXTVAL
   bool merge_exact_ = false; // every aggregate is exactly mergeable
+  bool encodable_ = false;   // key types allow KeyIndex encoding (at Open)
   std::vector<Row> results_;
   int64_t table_bytes_ = 0;  // estimated result-table working set
   int64_t spill_bytes_ = 0;       // spill file bytes written by this open
   int64_t spill_partitions_ = 0;  // leaf partitions aggregated on disk
+  int64_t encoded_keys_ = 0;      // distinct groups per KeyIndex path
+  int64_t generic_keys_ = 0;
   size_t pos_ = 0;
 };
 
@@ -686,6 +707,8 @@ class DistinctNode : public ExecNode {
   const char* name() const override { return "Distinct"; }
   std::vector<ExecNode*> children() override { return {child_.get()}; }
   bool SideEffectFree() const override { return child_->SideEffectFree(); }
+  void AppendExtraCounters(
+      std::vector<std::pair<std::string, int64_t>>* out) const override;
 
  protected:
   Status OpenImpl() override;
@@ -694,9 +717,10 @@ class DistinctNode : public ExecNode {
  private:
   ExecNodePtr child_;
   ExecContext* ctx_;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  KeyIndex seen_;
   bool materialized_ = false;  // parallel mode: results_ holds the output
   std::vector<Row> results_;
+  int64_t results_bytes_ = 0;  // parallel mode: estimated results_ footprint
   size_t pos_ = 0;
 };
 

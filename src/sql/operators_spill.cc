@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -230,10 +229,14 @@ namespace {
 struct GraceJoin {
   ExecContext* ctx;
   const Expr* residual;  // may be null
+  size_t key_width;
+  bool encodable;  // KeyIndex path of the leaf tables
   storage::SpillFile* output;
   std::vector<storage::SpillRun>* output_runs;
   int64_t* spill_bytes;
   int64_t* spill_partitions;
+  int64_t* encoded_keys;
+  int64_t* generic_keys;
 
   Status Process(const storage::SpillFile* build_file,
                  const std::vector<storage::SpillRun>& build_runs,
@@ -317,24 +320,30 @@ struct GraceJoin {
               uint64_t build_records, const storage::SpillFile* probe_file,
               const std::vector<storage::SpillRun>& probe_runs) {
     ++*spill_partitions;
-    std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> table;
-    table.reserve(static_cast<size_t>(build_records));
+    JoinTable table;
+    table.Reset(key_width, encodable, static_cast<size_t>(build_records));
+    std::vector<Row> build_rows;
+    build_rows.reserve(static_cast<size_t>(build_records));
     {
       PartitionReader reader(build_file, build_runs);
       std::string record;
+      Row key;
       while (true) {
         MR_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
         if (!more) break;
         size_t pos = 0;
-        Row key;
         Row row;
         MR_RETURN_IF_ERROR(
             storage::DecodeRow(record.data(), record.size(), &pos, &key));
         MR_RETURN_IF_ERROR(
             storage::DecodeRow(record.data(), record.size(), &pos, &row));
-        table[std::move(key)].push_back(std::move(row));
+        table.Add(key, static_cast<uint32_t>(build_rows.size()));
+        build_rows.push_back(std::move(row));
       }
     }
+    table.Seal();
+    *encoded_keys += table.index().encoded_keys();
+    *generic_keys += table.index().generic_keys();
     PartitionReader reader(probe_file, probe_runs);
     std::string record;
     std::string out_record;
@@ -351,10 +360,8 @@ struct GraceJoin {
           storage::DecodeRow(record.data(), record.size(), &pos, &key));
       MR_RETURN_IF_ERROR(
           storage::DecodeRow(record.data(), record.size(), &pos, &row));
-      auto it = table.find(key);
-      if (it == table.end()) continue;
-      for (const Row& build_row : it->second) {
-        Row joined = SpillConcatRows(row, build_row);
+      for (uint32_t b : table.Find(key)) {
+        Row joined = SpillConcatRows(row, build_rows[b]);
         if (residual != nullptr) {
           MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual, joined, ctx));
           if (!pass) continue;
@@ -446,22 +453,22 @@ Status HashJoinNode::OpenBudget() {
   // when that subtree has no observable side effects to preserve.
   if (build_rows_ == 0 && left_->SideEffectFree()) {
     probe_skipped_ = true;
-    current_bucket_ = nullptr;
-    bucket_pos_ = 0;
     return Status::OK();
   }
 
   MR_RETURN_IF_ERROR(left_->Open());
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
   if (build_writer == nullptr) {
     // Within budget: the buffered pairs become the serial hash table —
     // insertion order per bucket is build input order — and the probe
     // streams through the regular serial NextImpl.
-    hash_table_.reserve(buffer.size());
+    table_.Reset(right_keys_.size(), encodable_, buffer.size());
+    build_side_.reserve(buffer.size());
     for (auto& [buffered_key, buffered_row] : buffer) {
-      hash_table_[std::move(buffered_key)].push_back(std::move(buffered_row));
+      table_.Add(buffered_key, static_cast<uint32_t>(build_side_.size()));
+      build_side_.push_back(std::move(buffered_row));
     }
+    table_.Seal();
+    NoteKeys(table_.index());
     return Status::OK();
   }
   MR_RETURN_IF_ERROR(build_writer->Finish());
@@ -494,10 +501,14 @@ Status HashJoinNode::OpenBudget() {
 
   GraceJoin grace{ctx_,
                   residual_.get(),
+                  right_keys_.size(),
+                  encodable_,
                   spill_->output.get(),
                   &spill_->output_runs,
                   &spill_bytes_,
-                  &spill_partitions_};
+                  &spill_partitions_,
+                  &encoded_keys_,
+                  &generic_keys_};
   const uint64_t total_build = static_cast<uint64_t>(build_rows_);
   for (size_t p = 0; p < fan_out; ++p) {
     MR_RETURN_IF_ERROR(grace.Process(
@@ -656,28 +667,25 @@ Status HashAggregateNode::OpenBudget() {
   std::vector<std::pair<uint64_t, Row>> groups_out;  // (first index, out row)
   if (writer == nullptr) {
     // Within budget: aggregate the buffered tuples in input order — the
-    // same try_emplace/Add sequence as the serial pass, so the emission
+    // same group lookup/Add sequence as the serial pass, so the emission
     // order and every accumulator value match it exactly.
-    std::unordered_map<Row, size_t, RowHash, RowEq> index;
-    std::vector<Row> keys;
-    std::vector<std::vector<AggAccumulator>> states;
+    GroupTable groups;
+    groups.index.Reset(group_exprs_.size(), encodable_, buffer.size());
     std::vector<uint64_t> first_index;
-    for (Tuple& tuple : buffer) {
-      auto [it, inserted] = index.try_emplace(tuple.key, keys.size());
-      if (inserted) {
-        keys.push_back(std::move(tuple.key));
-        states.push_back(MakeAccumulators());
-        first_index.push_back(tuple.index);
-      }
-      std::vector<AggAccumulator>& accs = states[it->second];
+    for (const Tuple& tuple : buffer) {
+      bool inserted = false;
+      const uint32_t group = FindOrAddGroup(&groups, tuple.key, &inserted);
+      if (inserted) first_index.push_back(tuple.index);
+      std::vector<AggAccumulator>& accs = groups.states[group];
       for (size_t i = 0; i < aggs_.size(); ++i) {
         MR_RETURN_IF_ERROR(accs[i].Add(tuple.args[i]));
       }
     }
-    groups_out.reserve(keys.size());
-    for (size_t g = 0; g < keys.size(); ++g) {
-      Row out = std::move(keys[g]);
-      for (const AggAccumulator& acc : states[g]) {
+    NoteKeys(groups);
+    groups_out.reserve(groups.keys.size());
+    for (size_t g = 0; g < groups.keys.size(); ++g) {
+      Row out = std::move(groups.keys[g]);
+      for (const AggAccumulator& acc : groups.states[g]) {
         MR_ASSIGN_OR_RETURN(Value v, acc.Finish());
         out.push_back(std::move(v));
       }
@@ -769,39 +777,37 @@ Status HashAggregateNode::AggregatePartition(
   // subsequence — order-sensitive accumulators (SUM/AVG over doubles) see
   // exactly the serial operand order.
   ++spill_partitions_;
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<AggAccumulator>> states;
+  GroupTable groups;
+  groups.index.Reset(group_exprs_.size(), encodable_,
+                     static_cast<size_t>(input.records));
   std::vector<uint64_t> first_index;
   PartitionReader reader(input.file, *input.runs);
   std::string record;
+  Row key;
+  Row args;
   while (true) {
     MR_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
     if (!more) break;
     size_t pos = 0;
     uint64_t tuple_index = 0;
-    Row key;
-    Row args;
     MR_RETURN_IF_ERROR(
         storage::DecodeU64(record.data(), record.size(), &pos, &tuple_index));
     MR_RETURN_IF_ERROR(
         storage::DecodeRow(record.data(), record.size(), &pos, &key));
     MR_RETURN_IF_ERROR(
         storage::DecodeRow(record.data(), record.size(), &pos, &args));
-    auto [it, inserted] = index.try_emplace(key, keys.size());
-    if (inserted) {
-      keys.push_back(std::move(key));
-      states.push_back(MakeAccumulators());
-      first_index.push_back(tuple_index);
-    }
-    std::vector<AggAccumulator>& accs = states[it->second];
+    bool inserted = false;
+    const uint32_t group = FindOrAddGroup(&groups, key, &inserted);
+    if (inserted) first_index.push_back(tuple_index);
+    std::vector<AggAccumulator>& accs = groups.states[group];
     for (size_t i = 0; i < aggs_.size(); ++i) {
       MR_RETURN_IF_ERROR(accs[i].Add(args[i]));
     }
   }
-  for (size_t g = 0; g < keys.size(); ++g) {
-    Row out_row = std::move(keys[g]);
-    for (const AggAccumulator& acc : states[g]) {
+  NoteKeys(groups);
+  for (size_t g = 0; g < groups.keys.size(); ++g) {
+    Row out_row = std::move(groups.keys[g]);
+    for (const AggAccumulator& acc : groups.states[g]) {
       MR_ASSIGN_OR_RETURN(Value v, acc.Finish());
       out_row.push_back(std::move(v));
     }

@@ -1,10 +1,11 @@
 #ifndef MINERULE_SQL_OPERATORS_SPILL_STATE_H_
 #define MINERULE_SQL_OPERATORS_SPILL_STATE_H_
 
-// Definitions of the spill-state structs owned by the buffering operators
+// Definitions of the state structs owned by the buffering operators
 // (DESIGN.md §13). operators.cc needs the complete types to construct and
 // reset the owning unique_ptrs; operators_spill.cc implements the budgeted
-// paths that fill them. Internal to the sql library — not part of its API.
+// paths that fill them. Both files build the aggregate's group tables.
+// Internal to the sql library — not part of its API.
 
 #include <cstdint>
 #include <memory>
@@ -16,6 +17,15 @@
 #include "storage/spill.h"
 
 namespace minerule::sql {
+
+/// Group state of a hash aggregation: key ids from the KeyIndex index the
+/// first-seen-order keys and accumulators. Used by the serial pass, as the
+/// per-morsel local table of the parallel pass, and by the budgeted paths.
+struct HashAggregateNode::GroupTable {
+  KeyIndex index;
+  std::vector<Row> keys;
+  std::vector<std::vector<AggAccumulator>> states;
+};
 
 /// External-merge-sort state: one spill file holding sorted runs, plus the
 /// open run readers of the final merge.

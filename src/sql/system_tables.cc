@@ -55,7 +55,9 @@ Schema OperatorStatsSchema() {
                  {"rows", DataType::kInteger},
                  {"micros", DataType::kInteger},
                  {"est_bytes", DataType::kInteger},
-                 {"workers", DataType::kInteger}});
+                 {"workers", DataType::kInteger},
+                 {"encoded_keys", DataType::kInteger},
+                 {"generic_keys", DataType::kInteger}});
 }
 
 Schema MetricsSchema() {
@@ -163,7 +165,9 @@ std::vector<Row> OperatorStatsRows(const std::vector<RunRecord>& runs) {
                         Value::Integer(op.depth), Value::Integer(op.rows),
                         Value::Integer(op.micros),
                         Value::Integer(CounterOr0(op, "est_bytes")),
-                        Value::Integer(CounterOr0(op, "workers"))});
+                        Value::Integer(CounterOr0(op, "workers")),
+                        Value::Integer(CounterOr0(op, "encoded_keys")),
+                        Value::Integer(CounterOr0(op, "generic_keys"))});
       }
     }
   }

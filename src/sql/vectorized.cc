@@ -35,31 +35,6 @@ std::string JoinExprs(const std::vector<ExprPtr>& exprs, const char* sep) {
   return out;
 }
 
-/// Canonicalizes a value to an int64 hash-join/group key when SQL equality
-/// allows: INTEGER directly, DOUBLE when it holds an exact integer (then
-/// INTEGER k and DOUBLE k.0 meet in the same bucket, matching Value::Hash /
-/// TotalEquals). Values that return false (non-integral or out-of-range
-/// doubles, NaN, non-numeric types) are never SQL-equal to any canonical
-/// value, so splitting them into a Value-keyed side table keeps the bucket
-/// partition consistent.
-bool CanonicalInt64(const Value& v, int64_t* out) {
-  if (v.type() == DataType::kInteger) {
-    *out = v.AsInteger();
-    return true;
-  }
-  if (v.type() == DataType::kDouble) {
-    const double d = v.AsDouble();
-    if (std::isnan(d)) return false;
-    // Doubles at or beyond ±2^63 are outside int64 range (the negative
-    // bound itself is exactly representable and in range).
-    if (d >= 9223372036854775808.0 || d < -9223372036854775808.0) return false;
-    if (std::trunc(d) != d) return false;
-    *out = static_cast<int64_t>(d);
-    return true;
-  }
-  return false;
-}
-
 /// Three-way compare result applied to a comparison operator — the tail of
 /// the row path's CompareOp.
 bool ApplyCmp(BinaryOp op, int cmp) {
@@ -450,30 +425,26 @@ std::string VecHashJoinNode::detail() const {
 void VecHashJoinNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   out->emplace_back("build_rows", static_cast<int64_t>(build_rows_.size()));
-  out->emplace_back("buckets", static_cast<int64_t>(int_buckets_.size() +
-                                                    generic_buckets_.size()));
+  out->emplace_back("buckets", static_cast<int64_t>(table_.buckets()));
   out->emplace_back("est_bytes", build_bytes_);
+  out->emplace_back("encoded_keys", table_.index().encoded_keys());
+  out->emplace_back("generic_keys", table_.index().generic_keys());
   if (probe_skipped_) out->emplace_back("probe_skipped", 1);
 }
 
-const std::vector<uint32_t>* VecHashJoinNode::FindBucket(
-    const Value& key) const {
-  int64_t canonical = 0;
-  if (CanonicalInt64(key, &canonical)) {
-    auto it = int_buckets_.find(canonical);
-    return it == int_buckets_.end() ? nullptr : &it->second;
-  }
-  auto it = generic_buckets_.find(key);
-  return it == generic_buckets_.end() ? nullptr : &it->second;
+Result<bool> VecHashJoinNode::ProbeKey(const Row& left_row, Row* key) const {
+  MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*left_key_, left_row, ctx_));
+  if (v.is_null()) return false;
+  key->resize(1);
+  (*key)[0] = std::move(v);
+  return true;
 }
 
 Status VecHashJoinNode::OpenImpl() {
   build_rows_.clear();
-  int_buckets_.clear();
-  generic_buckets_.clear();
   left_rows_.clear();
   left_pos_ = 0;
-  current_bucket_ = nullptr;
+  current_bucket_ = {};
   bucket_pos_ = 0;
   parallel_ = false;
   probe_skipped_ = false;
@@ -485,19 +456,17 @@ Status VecHashJoinNode::OpenImpl() {
   if (estimate > 0) build.reserve(static_cast<size_t>(estimate));
   MR_RETURN_IF_ERROR(DrainOpenedNode(right_.get(), ctx_->num_threads, &build));
 
-  int_buckets_.reserve(build.size());
+  // The factory admits INTEGER keys only, so the encoded path applies.
+  table_.Reset(/*width=*/1, /*encodable=*/true, build.size());
+  build_rows_.reserve(build.size());
+  Row key(1);
   for (Row& row : build) {
-    MR_ASSIGN_OR_RETURN(Value key, EvalExpr(*right_key_, row, ctx_));
-    if (key.is_null()) continue;  // NULL keys never join
-    const uint32_t index = static_cast<uint32_t>(build_rows_.size());
-    int64_t canonical = 0;
-    if (CanonicalInt64(key, &canonical)) {
-      int_buckets_[canonical].push_back(index);
-    } else {
-      generic_buckets_[std::move(key)].push_back(index);
-    }
+    MR_ASSIGN_OR_RETURN(key[0], EvalExpr(*right_key_, row, ctx_));
+    if (key[0].is_null()) continue;  // NULL keys never join
+    table_.Add(key, static_cast<uint32_t>(build_rows_.size()));
     build_rows_.push_back(std::move(row));
   }
+  table_.Seal();
 
   if (!build_rows_.empty()) {
     build_bytes_ = static_cast<int64_t>(build_rows_.size()) *
@@ -524,12 +493,11 @@ Status VecHashJoinNode::OpenImpl() {
   return DrainOpenedNode(left_.get(), ctx_->num_threads, &left_rows_);
 }
 
-Status VecHashJoinNode::ProbeRow(const Row& left_row, std::vector<Row>* out) {
-  MR_ASSIGN_OR_RETURN(Value key, EvalExpr(*left_key_, left_row, ctx_));
-  if (key.is_null()) return Status::OK();
-  const std::vector<uint32_t>* bucket = FindBucket(key);
-  if (bucket == nullptr) return Status::OK();
-  for (uint32_t index : *bucket) {
+Status VecHashJoinNode::ProbeRow(const Row& left_row, Row* key,
+                                 std::vector<Row>* out) {
+  MR_ASSIGN_OR_RETURN(bool valid, ProbeKey(left_row, key));
+  if (!valid) return Status::OK();
+  for (uint32_t index : table_.Find(*key)) {
     out->push_back(ConcatRows(left_row, build_rows_[index]));
   }
   return Status::OK();
@@ -537,12 +505,11 @@ Status VecHashJoinNode::ProbeRow(const Row& left_row, std::vector<Row>* out) {
 
 Result<bool> VecHashJoinNode::NextImpl(Row* out) {
   while (true) {
-    if (current_bucket_ != nullptr && bucket_pos_ < current_bucket_->size()) {
+    if (bucket_pos_ < current_bucket_.size()) {
       *out = ConcatRows(current_left_,
-                        build_rows_[(*current_bucket_)[bucket_pos_++]]);
+                        build_rows_[current_bucket_[bucket_pos_++]]);
       return true;
     }
-    current_bucket_ = nullptr;
     if (probe_skipped_) return false;
     if (parallel_) {
       if (left_pos_ >= left_rows_.size()) return false;
@@ -551,17 +518,18 @@ Result<bool> VecHashJoinNode::NextImpl(Row* out) {
       MR_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
       if (!more) return false;
     }
-    MR_ASSIGN_OR_RETURN(Value key, EvalExpr(*left_key_, current_left_, ctx_));
-    if (key.is_null()) continue;
-    current_bucket_ = FindBucket(key);
+    MR_ASSIGN_OR_RETURN(bool valid, ProbeKey(current_left_, &probe_key_));
+    current_bucket_ = valid ? table_.Find(probe_key_)
+                            : std::span<const uint32_t>();
     bucket_pos_ = 0;
   }
 }
 
 Status VecHashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
                                            std::vector<Row>* out) {
+  Row key;
   for (size_t i = begin; i < end; ++i) {
-    MR_RETURN_IF_ERROR(ProbeRow(left_rows_[i], out));
+    MR_RETURN_IF_ERROR(ProbeRow(left_rows_[i], &key, out));
   }
   return Status::OK();
 }
@@ -591,56 +559,20 @@ void VecHashAggregateNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   out->emplace_back("groups", static_cast<int64_t>(results_.size()));
   out->emplace_back("est_bytes", table_bytes_);
-}
-
-size_t VecHashAggregateNode::EncodedKeyHash::operator()(
-    const std::vector<int64_t>& key) const {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a over the key words
-  for (int64_t word : key) {
-    h ^= static_cast<uint64_t>(word);
-    h *= 1099511628211ull;
-  }
-  return static_cast<size_t>(h);
+  out->emplace_back("encoded_keys", group_index_.encoded_keys());
+  out->emplace_back("generic_keys", group_index_.generic_keys());
 }
 
 size_t VecHashAggregateNode::FindOrAddGroup(const Row& key) {
-  // Encode each component to two flat words: (0, payload) for values with a
-  // canonical int64 form, (1, 0) for NULL. Encoding preserves RowEq classes
-  // (INTEGER k and DOUBLE k.0 share an encoding; nothing else collides), so
-  // keys with any non-canonical component fall to the Value-keyed map with
-  // identical equality. Both maps share the first-seen-order group storage.
-  // The encoded scratch is a member so lookups of existing groups — the hot
-  // case — never allocate; the key is copied only when a group is new.
-  encoded_scratch_.clear();
-  bool encodable = true;
-  for (const Value& v : key) {
-    if (v.is_null()) {
-      encoded_scratch_.push_back(1);
-      encoded_scratch_.push_back(0);
-      continue;
-    }
-    int64_t canonical = 0;
-    if (!CanonicalInt64(v, &canonical)) {
-      encodable = false;
-      break;
-    }
-    encoded_scratch_.push_back(0);
-    encoded_scratch_.push_back(canonical);
+  // Lookups of existing groups — the hot case — never allocate; the key is
+  // copied only when a group is new.
+  bool inserted = false;
+  const uint32_t group = group_index_.Insert(key, &inserted);
+  if (inserted) {
+    group_keys_.push_back(key);
+    group_states_.emplace_back(aggs_.size());
   }
-
-  const size_t next = group_keys_.size();
-  if (encodable) {
-    auto it = int_groups_.find(encoded_scratch_);
-    if (it != int_groups_.end()) return it->second;
-    int_groups_.emplace(encoded_scratch_, next);
-  } else {
-    auto it = generic_groups_.find(key);
-    if (it != generic_groups_.end()) return it->second;
-    generic_groups_.emplace(key, next);
-  }
-  group_keys_.push_back(key);
-  group_states_.emplace_back(aggs_.size());
-  return next;
+  return group;
 }
 
 Status VecHashAggregateNode::Accumulate(const Row& row) {
@@ -740,8 +672,6 @@ Result<Value> VecHashAggregateNode::FinishState(const AggState& state,
 }
 
 Status VecHashAggregateNode::OpenImpl() {
-  int_groups_.clear();
-  generic_groups_.clear();
   group_keys_.clear();
   group_states_.clear();
   results_.clear();
@@ -753,16 +683,21 @@ Status VecHashAggregateNode::OpenImpl() {
   // thread count. A parallel-capable child is drained morsel-parallel first
   // (morsel-order concatenation reproduces the serial row order); a serial
   // child streams straight into the accumulators with no buffering.
+  // The factory admits INTEGER group keys only, so the encoded path
+  // applies; the index is presized from the input count.
+  const int64_t estimate = child_->EstimatedRowCount();
   if (ctx_->num_threads != 1 && child_->SupportsMorsels()) {
     std::vector<Row> input;
-    const int64_t estimate = child_->EstimatedRowCount();
     if (estimate > 0) input.reserve(static_cast<size_t>(estimate));
     MR_RETURN_IF_ERROR(
         DrainOpenedNode(child_.get(), ctx_->num_threads, &input));
+    group_index_.Reset(group_exprs_.size(), /*encodable=*/true, input.size());
     for (const Row& row : input) {
       MR_RETURN_IF_ERROR(Accumulate(row));
     }
   } else {
+    group_index_.Reset(group_exprs_.size(), /*encodable=*/true,
+                       estimate > 0 ? static_cast<size_t>(estimate) : 0);
     Row row;
     while (true) {
       MR_ASSIGN_OR_RETURN(bool more, child_->Next(&row));

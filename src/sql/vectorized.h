@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relational/column.h"
@@ -141,12 +141,12 @@ class VecFilterNode : public ExecNode {
 };
 
 /// Int-keyed equi hash join (single key pair, no residual — the factory
-/// guarantees both). Build values canonicalize to an int64 key where SQL
-/// equality allows (INTEGER, and DOUBLE holding an exact integer), giving an
-/// int64-keyed bucket table on the hot path; the rare non-canonical values
-/// keep a Value-keyed side table with identical equality semantics. Bucket
-/// contents are inserted in build order and probed in probe order, so the
-/// output matches the row HashJoinNode row-for-row.
+/// guarantees both). The build table is a JoinTable, whose KeyIndex encodes
+/// the INTEGER keys (and any integral DOUBLE) as flat words and keeps the
+/// rare non-canonical values on its Row-keyed fallback with identical
+/// equality semantics. Bucket contents are inserted in build order and
+/// probed in probe order, so the output matches the row HashJoinNode
+/// row-for-row.
 class VecHashJoinNode : public ExecNode {
  public:
   VecHashJoinNode(ExecNodePtr left, ExecNodePtr right, ExprPtr left_key,
@@ -171,8 +171,10 @@ class VecHashJoinNode : public ExecNode {
                             std::vector<Row>* out) override;
 
  private:
-  Status ProbeRow(const Row& left_row, std::vector<Row>* out);
-  const std::vector<uint32_t>* FindBucket(const Value& key) const;
+  /// Evaluates the probe key of `left_row` into the one-column *key;
+  /// false when it is NULL (NULL keys never join).
+  Result<bool> ProbeKey(const Row& left_row, Row* key) const;
+  Status ProbeRow(const Row& left_row, Row* key, std::vector<Row>* out);
 
   ExecNodePtr left_;
   ExecNodePtr right_;
@@ -180,9 +182,7 @@ class VecHashJoinNode : public ExecNode {
   ExprPtr right_key_;
   ExecContext* ctx_;
   std::vector<Row> build_rows_;  // valid-key build rows, in build order
-  std::unordered_map<int64_t, std::vector<uint32_t>> int_buckets_;
-  std::unordered_map<Value, std::vector<uint32_t>, ValueHash, ValueEq>
-      generic_buckets_;
+  JoinTable table_;              // indexes into build_rows_
   std::vector<Row> left_rows_;  // parallel mode: materialized probe side
   bool parallel_ = false;       // decided at Open()
   bool probe_skipped_ = false;
@@ -190,14 +190,15 @@ class VecHashJoinNode : public ExecNode {
   // Serial Next(): streams the probe side one bucket at a time, no buffering.
   size_t left_pos_ = 0;
   Row current_left_;
-  const std::vector<uint32_t>* current_bucket_ = nullptr;
+  Row probe_key_;
+  std::span<const uint32_t> current_bucket_;
   size_t bucket_pos_ = 0;
 };
 
 /// Int-keyed GROUP BY with fixed-width aggregate states (the factory admits
 /// only INTEGER group keys, no DISTINCT, and COUNT/SUM/AVG/MIN/MAX over
-/// numeric arguments). Group keys encode to flat int64 words hashed without
-/// touching Value, and each aggregate keeps a compact state struct that
+/// numeric arguments). Group keys go through a KeyIndex, which encodes them
+/// to flat int64 words, and each aggregate keeps a compact state struct that
 /// replicates AggAccumulator::Add/Finish exactly (NULL skipping, the exact
 /// integer sum with overflow fallback, first-seen MIN/MAX retention).
 /// Emission order is global first-seen order — identical to the row node.
@@ -228,10 +229,6 @@ class VecHashAggregateNode : public ExecNode {
     Value extreme;  // running MIN/MAX value
   };
 
-  struct EncodedKeyHash {
-    size_t operator()(const std::vector<int64_t>& key) const;
-  };
-
   size_t FindOrAddGroup(const Row& key);
   Status Accumulate(const Row& row);
   Status AddToState(AggState* state, AggFunc func, const Value& value) const;
@@ -241,15 +238,13 @@ class VecHashAggregateNode : public ExecNode {
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
   ExecContext* ctx_;
-  // Both maps index into the shared first-seen-order group storage.
-  std::unordered_map<std::vector<int64_t>, size_t, EncodedKeyHash> int_groups_;
-  std::unordered_map<Row, size_t, RowHash, RowEq> generic_groups_;
+  // Key ids index the first-seen-order group storage.
+  KeyIndex group_index_;
   std::vector<Row> group_keys_;
   std::vector<std::vector<AggState>> group_states_;
   std::vector<Row> results_;
   // Per-row scratch, reused so group lookups allocate only on new groups.
   Row key_scratch_;
-  std::vector<int64_t> encoded_scratch_;
   int64_t table_bytes_ = 0;
   size_t pos_ = 0;
 };

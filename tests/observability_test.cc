@@ -136,6 +136,57 @@ TEST_F(ObservabilityTest, ExplainAnalyzeHashJoinCounters) {
   EXPECT_NE(plan.find("buckets="), std::string::npos) << plan;
 }
 
+// The hash operators report which KeyIndex path their keys took: integer
+// keys encode, string keys go to the Row-keyed fallback (DESIGN.md §12).
+TEST_F(ObservabilityTest, ExplainAnalyzeReportsKeyIndexPath) {
+  SetUpSmallTables();
+  MustSql("INSERT INTO t VALUES (1,'x'), (2,'y')");
+  auto line = [](const std::string& plan, const std::string& op) {
+    const size_t at = plan.find(op);
+    EXPECT_NE(at, std::string::npos) << plan;
+    if (at == std::string::npos) return std::string();
+    return plan.substr(at, plan.find('\n', at) - at);
+  };
+
+  const std::string ints = line(
+      Plan("EXPLAIN ANALYZE SELECT DISTINCT a FROM t"), "Distinct");
+  EXPECT_NE(ints.find("kept_rows=3"), std::string::npos) << ints;
+  EXPECT_NE(ints.find("est_bytes="), std::string::npos) << ints;
+  EXPECT_NE(ints.find("encoded_keys=3"), std::string::npos) << ints;
+  EXPECT_NE(ints.find("generic_keys=0"), std::string::npos) << ints;
+
+  const std::string strings = line(
+      Plan("EXPLAIN ANALYZE SELECT DISTINCT b FROM t"), "Distinct");
+  EXPECT_NE(strings.find("kept_rows=3"), std::string::npos) << strings;
+  EXPECT_NE(strings.find("encoded_keys=0"), std::string::npos) << strings;
+  EXPECT_NE(strings.find("generic_keys=3"), std::string::npos) << strings;
+
+  const std::string join = line(
+      Plan("EXPLAIN ANALYZE SELECT t.b FROM t, s WHERE t.a = s.a"),
+      "HashJoin");
+  EXPECT_NE(join.find("encoded_keys=2"), std::string::npos) << join;
+  EXPECT_NE(join.find("generic_keys=0"), std::string::npos) << join;
+
+  const std::string agg = line(
+      Plan("EXPLAIN ANALYZE SELECT b, COUNT(*) FROM t GROUP BY b"),
+      "HashAggregate");
+  EXPECT_NE(agg.find("encoded_keys=0"), std::string::npos) << agg;
+  EXPECT_NE(agg.find("generic_keys=3"), std::string::npos) << agg;
+
+  system_.sql_engine()->set_vectorized(true);
+  const std::string vec_join = line(
+      Plan("EXPLAIN ANALYZE SELECT t.b FROM t, s WHERE t.a = s.a"),
+      "VecHashJoin");
+  EXPECT_NE(vec_join.find("encoded_keys=2"), std::string::npos) << vec_join;
+  EXPECT_NE(vec_join.find("generic_keys=0"), std::string::npos) << vec_join;
+  const std::string vec_agg = line(
+      Plan("EXPLAIN ANALYZE SELECT a, COUNT(*) FROM t GROUP BY a"),
+      "VecHashAggregate");
+  EXPECT_NE(vec_agg.find("encoded_keys=3"), std::string::npos) << vec_agg;
+  EXPECT_NE(vec_agg.find("generic_keys=0"), std::string::npos) << vec_agg;
+  system_.sql_engine()->set_vectorized(false);
+}
+
 // ANALYZE on a side-effecting statement profiles the SELECT only: the
 // insert must not happen.
 TEST_F(ObservabilityTest, ExplainAnalyzeInsertAppliesNoSideEffects) {

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/random.h"
 #include "sql/engine.h"
@@ -223,6 +228,202 @@ TEST_F(MixedKeyJoinTest, RandomizedMixedKeys) {
   EXPECT_EQ(hash, nested);
   EXPECT_FALSE(hash.empty());
 }
+
+// DISTINCT, GROUP BY and hash join over the key classes where the hash
+// operators' encoded and fallback key paths meet (sql/key_index.h): a DOUBLE
+// column mixing integral, non-integral, NaN (both signs), -0.0 and NULL
+// values; DATE keys; and two-column INTEGER keys. Each result, including its
+// row order, must equal a reference computed straight from the rows: first-
+// seen order for DISTINCT and GROUP BY, left-major nested-loop order for the
+// join. Runs at threads {1, 2, 8}, with and without a 1 KiB memory budget
+// and with the vectorized operators on and off.
+class KeyClassSqlDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<int, int64_t, bool>> {
+ protected:
+  static constexpr int kLeftRows = 2500;  // three morsels
+  static constexpr int kRightRows = 400;
+
+  KeyClassSqlDifferentialTest() : engine_(&catalog_) {
+    const auto& [threads, budget, vectorized] = GetParam();
+    engine_.set_num_threads(threads);
+    engine_.set_memory_limit(budget);
+    engine_.set_vectorized(vectorized);
+  }
+
+  /// Creates L(<key columns>, v) and R(<key columns>, w) with `draw`
+  /// producing each row's key values; v and w are the row indexes.
+  template <typename Draw>
+  void MakeTables(const std::vector<Column>& key_columns, Draw draw) {
+    Random rng(17u);
+    for (const char* name : {"L", "R"}) {
+      std::vector<Column> columns = key_columns;
+      columns.emplace_back(name[0] == 'L' ? "v" : "w", DataType::kInteger);
+      auto table = catalog_.CreateTable(name, Schema(columns));
+      ASSERT_TRUE(table.ok()) << table.status();
+      const int rows = name[0] == 'L' ? kLeftRows : kRightRows;
+      for (int i = 0; i < rows; ++i) {
+        Row row = draw(&rng);
+        row.push_back(Value::Integer(i));
+        table.value()->AppendUnchecked(std::move(row));
+      }
+    }
+  }
+
+  std::vector<Row> Query(const std::string& sql) {
+    auto result = engine_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
+    return result.ok() ? result.value().rows : std::vector<Row>{};
+  }
+
+  const std::vector<Row>& TableRows(const std::string& name) {
+    return catalog_.GetTable(name).value()->rows();
+  }
+
+  /// Exact rendering: type, text and the sign of a double (-0.0, -NaN).
+  static std::string Render(const std::vector<Row>& rows) {
+    std::string out;
+    for (const Row& row : rows) {
+      for (const Value& v : row) {
+        out += DataTypeName(v.type());
+        out += ':';
+        out += v.ToString();
+        if (v.type() == DataType::kDouble && std::signbit(v.AsDouble())) {
+          out += "(neg)";
+        }
+        out += ' ';
+      }
+      out += '\n';
+    }
+    return out;
+  }
+
+  /// Checks DISTINCT, GROUP BY (merge-exact and SUM aggregates) and the
+  /// hash join on the first `width` columns against the references.
+  void CheckAll(size_t width, const std::string& keys,
+                const std::string& join_condition) {
+    const std::vector<Row>& left = TableRows("L");
+    const std::vector<Row>& right = TableRows("R");
+    auto key_of = [&](const Row& row) {
+      return Row(row.begin(), row.begin() + static_cast<long>(width));
+    };
+
+    // Key classes in first-seen order, with per-class aggregates over v.
+    struct Group {
+      Row key;
+      int64_t count = 0;
+      int64_t sum = 0;
+      int64_t min = 0;
+      int64_t max = 0;
+    };
+    std::vector<Group> groups;
+    for (const Row& row : left) {
+      const Row key = key_of(row);
+      const int64_t v = row[width].AsInteger();
+      auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+        return RowEq{}(g.key, key);
+      });
+      if (it == groups.end()) {
+        groups.push_back({key, 0, 0, v, v});
+        it = groups.end() - 1;
+      }
+      ++it->count;
+      it->sum += v;
+      it->min = std::min(it->min, v);
+      it->max = std::max(it->max, v);
+    }
+
+    std::vector<Row> distinct;
+    std::vector<Row> grouped;
+    std::vector<Row> summed;
+    for (const Group& g : groups) {
+      distinct.push_back(g.key);
+      Row row = g.key;
+      row.push_back(Value::Integer(g.count));
+      Row sum_row = row;
+      row.push_back(Value::Integer(g.min));
+      row.push_back(Value::Integer(g.max));
+      grouped.push_back(std::move(row));
+      sum_row.push_back(Value::Integer(g.sum));
+      summed.push_back(std::move(sum_row));
+    }
+    EXPECT_EQ(Render(Query("SELECT DISTINCT " + keys + " FROM L")),
+              Render(distinct));
+    EXPECT_EQ(Render(Query("SELECT " + keys +
+                           ", COUNT(*), MIN(v), MAX(v) FROM L GROUP BY " +
+                           keys)),
+              Render(grouped));
+    EXPECT_EQ(Render(Query("SELECT " + keys +
+                           ", COUNT(*), SUM(v) FROM L GROUP BY " + keys)),
+              Render(summed));
+
+    // Nested-loop reference: left-major, right rows in table order; SQL
+    // equality on every key column, NULL never matching.
+    std::vector<Row> joined;
+    for (const Row& l : left) {
+      for (const Row& r : right) {
+        bool match = true;
+        for (size_t c = 0; c < width && match; ++c) {
+          if (l[c].is_null() || r[c].is_null()) {
+            match = false;
+          } else {
+            Result<bool> eq = l[c].SqlEquals(r[c]);
+            match = eq.ok() && *eq;
+          }
+        }
+        if (match) joined.push_back({l[width], r[width]});
+      }
+    }
+    ASSERT_FALSE(joined.empty());
+    EXPECT_EQ(Render(Query("SELECT L.v, R.w FROM L, R WHERE " +
+                           join_condition)),
+              Render(joined));
+  }
+
+  Catalog catalog_;
+  SqlEngine engine_;
+};
+
+TEST_P(KeyClassSqlDifferentialTest, MixedDoubleKeys) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> pool = {
+      Value::Double(0.0),  Value::Double(-0.0), Value::Double(1.0),
+      Value::Double(1.5),  Value::Double(2.0),  Value::Double(-3.0),
+      Value::Double(2.5),  Value::Double(nan),  Value::Double(-nan),
+      Value::Null(),       Value::Double(1e19),
+      Value::Double(9007199254740992.0)};
+  MakeTables({{"k", DataType::kDouble}}, [&](Random* rng) {
+    return Row{pool[rng->NextBounded(pool.size())]};
+  });
+  CheckAll(1, "k", "L.k = R.k");
+}
+
+TEST_P(KeyClassSqlDifferentialTest, DateKeys) {
+  MakeTables({{"k", DataType::kDate}}, [&](Random* rng) {
+    return Row{rng->NextBool(0.05)
+                   ? Value::Null()
+                   : Value::Date(static_cast<int32_t>(rng->NextInt(0, 40)))};
+  });
+  CheckAll(1, "k", "L.k = R.k");
+}
+
+TEST_P(KeyClassSqlDifferentialTest, MultiColumnIntKeys) {
+  MakeTables({{"a", DataType::kInteger}, {"b", DataType::kInteger}},
+             [&](Random* rng) {
+               auto draw = [&](int64_t hi) {
+                 return rng->NextBool(0.05) ? Value::Null()
+                                            : Value::Integer(rng->NextInt(
+                                                  -hi, hi));
+               };
+               return Row{draw(6), draw(9)};
+             });
+  CheckAll(2, "a, b", "L.a = R.a AND L.b = R.b");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsBudgetsExecutors, KeyClassSqlDifferentialTest,
+    ::testing::Combine(::testing::Values(1, 2, 8),
+                       ::testing::Values(int64_t{-1}, int64_t{1024}),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace minerule::sql

@@ -83,7 +83,8 @@ TEST_F(SystemTablesTest, SchemasGolden) {
   EXPECT_EQ(names("mr_query_profile"),
             "run_id,query_id,phase,sql,rows,micros,operators");
   EXPECT_EQ(names("mr_operator_stats"),
-            "run_id,query_id,op,detail,depth,rows,micros,est_bytes,workers");
+            "run_id,query_id,op,detail,depth,rows,micros,est_bytes,workers,"
+            "encoded_keys,generic_keys");
   EXPECT_EQ(names("mr_metrics"), "name,kind,value,count,sum,p50,p95,p99");
   EXPECT_EQ(names("mr_trace_spans"),
             "tid,thread,name,category,start_micros,duration_micros");
@@ -151,6 +152,20 @@ TEST_F(SystemTablesTest, MineRuleRunIsQueryable) {
       MustSql("SELECT SUM(operators) FROM mr_query_profile");
   sql::QueryResult op_rows = MustSql("SELECT COUNT(*) FROM mr_operator_stats");
   EXPECT_EQ(op_rows.rows[0][0].AsInteger(), op_total.rows[0][0].AsInteger());
+
+  // mr_operator_stats shows which KeyIndex path each hash operator took:
+  // Q3's DISTINCT over the string (item, customer) pairs falls back, Q4's
+  // DISTINCT over the integer (Gid, Bid) codes encodes.
+  sql::QueryResult q3 = MustSql(
+      "SELECT SUM(encoded_keys), SUM(generic_keys) FROM mr_operator_stats "
+      "WHERE query_id = 'Q3' AND op = 'Distinct'");
+  EXPECT_EQ(q3.rows[0][0].AsInteger(), 0);
+  EXPECT_GT(q3.rows[0][1].AsInteger(), 0);
+  sql::QueryResult q4_keys = MustSql(
+      "SELECT SUM(encoded_keys), SUM(generic_keys) FROM mr_operator_stats "
+      "WHERE query_id = 'Q4' AND op = 'Distinct'");
+  EXPECT_GT(q4_keys.rows[0][0].AsInteger(), 0);
+  EXPECT_EQ(q4_keys.rows[0][1].AsInteger(), 0);
 
   // Engine counters made it into mr_metrics.
   sql::QueryResult metric = MustSql(
