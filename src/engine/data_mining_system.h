@@ -35,13 +35,8 @@ struct MiningOptions {
   /// mined rules are bit-identical at every setting.
   int num_threads = 0;
 
-  /// Columnar-batch execution for the generated SQL (DESIGN.md §12). The
-  /// mined rules are bit-identical either way; only the SQL engine's
-  /// execution strategy changes.
-  bool vectorized_sql = false;
-
   /// Cost-based planning for the generated SQL (DESIGN.md §14): join
-  /// reordering, build-side choice, tiny-input vectorized fallback and
+  /// reordering, build-side choice, tiny-input row scan/filter fallback and
   /// spill fan-out sizing from catalog statistics plus observed-cardinality
   /// feedback. The mined rules are bit-identical either way (the fuzz
   /// oracle's cost-based route pins it).
@@ -49,7 +44,8 @@ struct MiningOptions {
 
   /// Memory budget in bytes for the SQL engine's operator working sets
   /// (DESIGN.md §13): >= 0 makes the buffering operators spill to disk past
-  /// the budget (0 spills everything), < 0 disables the budget. The mined
+  /// the budget (0 spills everything) and keeps the row scan/filter that
+  /// feed them, < 0 disables the budget and scans columnar. The mined
   /// rules are bit-identical at every setting. kMemoryLimitInherit (the
   /// default) leaves the engine's own setting alone — which the engine
   /// seeds from the MINERULE_MEMORY_LIMIT environment variable — so the

@@ -835,35 +835,10 @@ Result<CaseOutcome> RunCase(const WorkloadSpec& spec,
     }
   }
 
-  // Route: identical bytes from the vectorized SQL engine (DESIGN.md §12),
-  // serial and at the sweep width.
-  if (options.run_vectorized) {
-    std::vector<int> widths = {1};
-    if (options.threads > 1) widths.push_back(options.threads);
-    for (int threads : widths) {
-      mr::MiningOptions vec_options = baseline_options;
-      vec_options.vectorized_sql = true;
-      vec_options.num_threads = threads;
-      MR_ASSIGN_OR_RETURN(PipelineRun run,
-                          RunPipeline(spec, statement, vec_options));
-      const std::string label =
-          threads == 1 ? "vectorized" : "vectorized@" + std::to_string(threads);
-      outcome.routes.push_back(label);
-      if (!run.ok) {
-        fail("vectorized-agreement",
-             label + " failed where the row engine succeeded: " + run.error);
-      } else if (run.dump != baseline.dump) {
-        fail("vectorized-agreement",
-             label + " differs from the row-engine baseline\n--- row ---\n" +
-                 Truncate(baseline.dump) + "\n--- vectorized ---\n" +
-                 Truncate(run.dump));
-      }
-    }
-  }
-
   // Route: identical bytes under a tiny memory budget (DESIGN.md §13) —
-  // every buffering operator in the generated queries spills to disk —
-  // serial and at the sweep width.
+  // every buffering operator in the generated queries spills to disk and
+  // the scans run row-at-a-time instead of columnar (§12) — serial and at
+  // the sweep width.
   if (options.run_memory_budget) {
     std::vector<int> widths = {1};
     if (options.threads > 1) widths.push_back(options.threads);

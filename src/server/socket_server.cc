@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/log.h"
 #include "common/metrics.h"
@@ -90,20 +91,25 @@ std::string ApplySetCommand(Session* session, const std::string& line) {
     }
     return "OK";
   };
-  auto integer = [&](auto apply) -> std::string {
+  // Values outside [min, max] are rejected like non-integers, so a narrower
+  // option never truncates silently.
+  auto integer = [&](auto apply,
+                     int64_t min = std::numeric_limits<int64_t>::min(),
+                     int64_t max = std::numeric_limits<int64_t>::max())
+      -> std::string {
     int64_t parsed = 0;
-    if (!ParseInt64Strict(value, &parsed)) {
+    if (!ParseInt64Strict(value, &parsed) || parsed < min || parsed > max) {
       return "ERR expected an integer for \\set " + name + ", got '" +
              value + "'";
     }
     apply(parsed);
     return "OK";
   };
-  if (name == "vectorized") return on_off(&options->vectorized_sql);
   if (name == "cost_based") return on_off(&options->cost_based_sql);
   if (name == "threads") {
     return integer(
-        [&](int64_t v) { options->num_threads = static_cast<int>(v); });
+        [&](int64_t v) { options->num_threads = static_cast<int>(v); },
+        std::numeric_limits<int>::min(), std::numeric_limits<int>::max());
   }
   if (name == "memory_limit") {
     return integer([&](int64_t v) { options->memory_limit = v; });

@@ -68,18 +68,14 @@ class SqlEngine {
   void set_num_threads(int num_threads) { num_threads_ = num_threads; }
   int num_threads() const { return num_threads_; }
 
-  /// Columnar-batch execution (DESIGN.md §12). When on, the planner swaps
-  /// eligible operators (scan, scan-fused filter, int-keyed hash join,
-  /// int-keyed group-by) for their vectorized counterparts. Off by default;
-  /// results are bit-identical either way — the differential tests pin this.
-  void set_vectorized(bool on) { vectorized_ = on; }
-  bool vectorized() const { return vectorized_; }
-
   /// Memory budget in bytes for operator working sets (DESIGN.md §13).
   /// < 0 (the default) disables the budget; >= 0 makes the buffering
   /// operators — hash-join build, aggregation, sort — spill to disk once
-  /// their accounted working set exceeds it (0 spills everything). Results
-  /// are bit-identical to unbudgeted execution at every thread count. The
+  /// their accounted working set exceeds it (0 spills everything). The
+  /// budget also selects the scan path: unbudgeted statements scan and
+  /// filter base tables columnar (DESIGN.md §12), budgeted ones keep the
+  /// row TableScan/Filter that feed the spill operators. Results are
+  /// bit-identical to unbudgeted execution at every thread count. The
   /// constructor seeds this from the MINERULE_MEMORY_LIMIT environment
   /// variable when it is set, so whole test suites can be rerun under a
   /// tiny budget without touching their code.
@@ -96,7 +92,7 @@ class SqlEngine {
   /// cardinalities from catalog statistics (collected lazily, refreshed by
   /// ANALYZE) plus observed-cardinality feedback from earlier executions,
   /// and uses them to reorder joins, pick the hash-join build side, fall
-  /// back to row-at-a-time execution on tiny inputs and size the spill
+  /// back to the row scan/filter on tiny inputs and size the spill
   /// fan-out. Off (the default) planning stays purely syntactic. Results
   /// are bit-identical either way — the fuzz oracle's cost-based route
   /// pins it.
@@ -133,7 +129,6 @@ class SqlEngine {
   HostVarMap host_vars_;
   bool collect_operator_stats_ = false;
   int num_threads_ = 1;
-  bool vectorized_ = false;
   int64_t memory_limit_ = -1;  // < 0 disables the budget
   std::string spill_dir_;      // empty means $TMPDIR or /tmp
   bool cost_based_ = false;

@@ -25,9 +25,11 @@ struct ExecContext {
   /// at Open(); the plan shape never depends on it.
   int num_threads = 1;
 
-  /// When true the planner substitutes vectorized (columnar-batch) operators
-  /// for eligible plan nodes (DESIGN.md §12). Results are bit-identical to
-  /// the row-at-a-time path; only the execution strategy changes.
+  /// When true the planner scans and filters base tables columnar
+  /// (DESIGN.md §12). The engine sets it per statement to
+  /// `memory_limit < 0`: a budget keeps the row TableScan/Filter that feed
+  /// the spill operators. Cost mode also clears it on tiny inputs. Results
+  /// are bit-identical either way; only the execution strategy changes.
   bool vectorized = false;
 
   /// Memory budget in bytes for operator working sets (DESIGN.md §13).
@@ -46,7 +48,7 @@ struct ExecContext {
 
   /// Cost-based planning (DESIGN.md §14). When true the planner consults
   /// `stats` and `feedback` to choose join order, hash-join build side,
-  /// vectorized-vs-volcano execution and the spill fan-out, and annotates
+  /// the row scan/filter on tiny inputs and the spill fan-out, and annotates
   /// EXPLAIN with estimates. Off (the default), planning is purely
   /// syntactic — plan shapes and EXPLAIN output are unchanged. Either way
   /// the delivered results are bit-identical (the fuzz oracle pins this).

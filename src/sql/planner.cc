@@ -142,7 +142,7 @@ constexpr double kSwapMinProbeRows = 1024.0;
 /// the hidden-rowid restore sort it requires.
 constexpr double kReorderMargin = 1.2;
 /// Below this many total source rows, columnar batching costs more than it
-/// saves; cost mode falls back to the row engine.
+/// saves; cost mode falls back to the row scan/filter.
 constexpr int64_t kVectorizedMinRows = 4096;
 /// Estimates never collapse to zero — a zero would erase every downstream
 /// product.
@@ -505,9 +505,9 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
     }
 
     if (!left_keys.empty()) {
-      current = MakeHashJoinNode(std::move(current), std::move(nodes[i]),
-                                 std::move(left_keys), std::move(right_keys),
-                                 nullptr, ctx_);
+      current = std::make_unique<HashJoinNode>(
+          std::move(current), std::move(nodes[i]), std::move(left_keys),
+          std::move(right_keys), nullptr, ctx_);
     } else {
       current = std::make_unique<NestedLoopJoinNode>(
           std::move(current), std::move(nodes[i]), nullptr, ctx_);
@@ -912,9 +912,9 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
       const bool swap = ctx_->memory_limit < 0 &&
                         eff_rows[t] >= kSwapMinProbeRows &&
                         left_est * kSwapBuildRatio < eff_rows[t];
-      current = MakeHashJoinNode(std::move(current), std::move(pipes[t]),
-                                 std::move(left_keys), std::move(right_keys),
-                                 nullptr, ctx_, swap);
+      current = std::make_unique<HashJoinNode>(
+          std::move(current), std::move(pipes[t]), std::move(left_keys),
+          std::move(right_keys), nullptr, ctx_, swap);
     } else {
       current = std::make_unique<NestedLoopJoinNode>(
           std::move(current), std::move(pipes[t]), nullptr, ctx_);
@@ -1003,7 +1003,7 @@ void Planner::TuneExecution(SelectStmt* stmt) {
     total_rows += stats->row_count;
     max_bytes = std::max(max_bytes, stats->total_row_bytes);
   }
-  // Columnar batching has per-batch overhead that tiny inputs never earn
+  // Columnar scan/filter has per-batch overhead that tiny inputs never earn
   // back; results are bit-identical either way, so flip freely.
   if (ctx_->vectorized && total_rows < kVectorizedMinRows) {
     ctx_->vectorized = false;
@@ -1138,8 +1138,9 @@ Result<PlannedSelect> Planner::PlanImpl(SelectStmt* stmt, int depth) {
       }
     }
 
-    node = MakeHashAggregateNode(std::move(node), std::move(group_exprs),
-                                 std::move(agg_specs), agg_schema, ctx_);
+    node = std::make_unique<HashAggregateNode>(
+        std::move(node), std::move(group_exprs), std::move(agg_specs),
+        agg_schema, ctx_);
     if (stmt->having != nullptr) {
       node = std::make_unique<FilterNode>(std::move(node),
                                           std::move(stmt->having), ctx_);

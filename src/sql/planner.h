@@ -71,7 +71,7 @@ class Planner {
       std::vector<BindScope> scopes, std::vector<ExprPtr> conjuncts);
 
   /// Cost-mode execution tuning decided once per top-level statement:
-  /// vectorized fallback on tiny inputs and spill fan-out sizing.
+  /// row scan/filter fallback on tiny inputs and spill fan-out sizing.
   void TuneExecution(SelectStmt* stmt);
 
   Catalog* catalog_;

@@ -3,37 +3,12 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/metrics.h"
 #include "relational/date.h"
 #include "sql/binder.h"
 
 namespace minerule::sql {
 
 namespace {
-
-Schema ConcatSchemas(const Schema& a, const Schema& b) {
-  Schema out;
-  for (const Column& c : a.columns()) out.AddColumn(c);
-  for (const Column& c : b.columns()) out.AddColumn(c);
-  return out;
-}
-
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
-
-std::string JoinExprs(const std::vector<ExprPtr>& exprs, const char* sep) {
-  std::string out;
-  for (const ExprPtr& e : exprs) {
-    if (!out.empty()) out += sep;
-    out += e->ToSql();
-  }
-  return out;
-}
 
 /// Three-way compare result applied to a comparison operator — the tail of
 /// the row path's CompareOp.
@@ -405,386 +380,11 @@ Status VecFilterNode::EvaluateMorselImpl(size_t begin, size_t end,
 }
 
 // ---------------------------------------------------------------------------
-// VecHashJoinNode
-// ---------------------------------------------------------------------------
-
-VecHashJoinNode::VecHashJoinNode(ExecNodePtr left, ExecNodePtr right,
-                                 ExprPtr left_key, ExprPtr right_key,
-                                 ExecContext* ctx)
-    : ExecNode(ConcatSchemas(left->schema(), right->schema())),
-      left_(std::move(left)),
-      right_(std::move(right)),
-      left_key_(std::move(left_key)),
-      right_key_(std::move(right_key)),
-      ctx_(ctx) {}
-
-std::string VecHashJoinNode::detail() const {
-  return left_key_->ToSql() + " = " + right_key_->ToSql();
-}
-
-void VecHashJoinNode::AppendExtraCounters(
-    std::vector<std::pair<std::string, int64_t>>* out) const {
-  out->emplace_back("build_rows", static_cast<int64_t>(build_rows_.size()));
-  out->emplace_back("buckets", static_cast<int64_t>(table_.buckets()));
-  out->emplace_back("est_bytes", build_bytes_);
-  out->emplace_back("encoded_keys", table_.index().encoded_keys());
-  out->emplace_back("generic_keys", table_.index().generic_keys());
-  if (probe_skipped_) out->emplace_back("probe_skipped", 1);
-}
-
-Result<bool> VecHashJoinNode::ProbeKey(const Row& left_row, Row* key) const {
-  MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*left_key_, left_row, ctx_));
-  if (v.is_null()) return false;
-  key->resize(1);
-  (*key)[0] = std::move(v);
-  return true;
-}
-
-Status VecHashJoinNode::OpenImpl() {
-  build_rows_.clear();
-  left_rows_.clear();
-  left_pos_ = 0;
-  current_bucket_ = {};
-  bucket_pos_ = 0;
-  parallel_ = false;
-  probe_skipped_ = false;
-  build_bytes_ = 0;
-
-  MR_RETURN_IF_ERROR(right_->Open());
-  std::vector<Row> build;
-  const int64_t estimate = right_->EstimatedRowCount();
-  if (estimate > 0) build.reserve(static_cast<size_t>(estimate));
-  MR_RETURN_IF_ERROR(DrainOpenedNode(right_.get(), ctx_->num_threads, &build));
-
-  // The factory admits INTEGER keys only, so the encoded path applies.
-  table_.Reset(/*width=*/1, /*encodable=*/true, build.size());
-  build_rows_.reserve(build.size());
-  Row key(1);
-  for (Row& row : build) {
-    MR_ASSIGN_OR_RETURN(key[0], EvalExpr(*right_key_, row, ctx_));
-    if (key[0].is_null()) continue;  // NULL keys never join
-    table_.Add(key, static_cast<uint32_t>(build_rows_.size()));
-    build_rows_.push_back(std::move(row));
-  }
-  table_.Seal();
-
-  if (!build_rows_.empty()) {
-    build_bytes_ = static_cast<int64_t>(build_rows_.size()) *
-                   EstimateRowBytes(build_rows_.front());
-    GlobalMetrics()
-        .GetGauge("sql.join.build_peak_bytes")
-        ->UpdateMax(build_bytes_);
-  }
-
-  // An empty build side joins nothing: skip the probe-side scan entirely
-  // when that subtree has no observable side effects to preserve.
-  if (build_rows_.empty() && left_->SideEffectFree()) {
-    probe_skipped_ = true;
-    return Status::OK();
-  }
-
-  MR_RETURN_IF_ERROR(left_->Open());
-  // Parallel probing needs random access over the probe side; the serial
-  // path streams it through Next() with no buffering, like the row join.
-  parallel_ = ctx_->num_threads != 1 && left_->SupportsMorsels();
-  if (!parallel_) return Status::OK();
-  const int64_t left_estimate = left_->EstimatedRowCount();
-  if (left_estimate > 0) left_rows_.reserve(static_cast<size_t>(left_estimate));
-  return DrainOpenedNode(left_.get(), ctx_->num_threads, &left_rows_);
-}
-
-Status VecHashJoinNode::ProbeRow(const Row& left_row, Row* key,
-                                 std::vector<Row>* out) {
-  MR_ASSIGN_OR_RETURN(bool valid, ProbeKey(left_row, key));
-  if (!valid) return Status::OK();
-  for (uint32_t index : table_.Find(*key)) {
-    out->push_back(ConcatRows(left_row, build_rows_[index]));
-  }
-  return Status::OK();
-}
-
-Result<bool> VecHashJoinNode::NextImpl(Row* out) {
-  while (true) {
-    if (bucket_pos_ < current_bucket_.size()) {
-      *out = ConcatRows(current_left_,
-                        build_rows_[current_bucket_[bucket_pos_++]]);
-      return true;
-    }
-    if (probe_skipped_) return false;
-    if (parallel_) {
-      if (left_pos_ >= left_rows_.size()) return false;
-      current_left_ = std::move(left_rows_[left_pos_++]);
-    } else {
-      MR_ASSIGN_OR_RETURN(bool more, left_->Next(&current_left_));
-      if (!more) return false;
-    }
-    MR_ASSIGN_OR_RETURN(bool valid, ProbeKey(current_left_, &probe_key_));
-    current_bucket_ = valid ? table_.Find(probe_key_)
-                            : std::span<const uint32_t>();
-    bucket_pos_ = 0;
-  }
-}
-
-Status VecHashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
-                                           std::vector<Row>* out) {
-  Row key;
-  for (size_t i = begin; i < end; ++i) {
-    MR_RETURN_IF_ERROR(ProbeRow(left_rows_[i], &key, out));
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// VecHashAggregateNode
-// ---------------------------------------------------------------------------
-
-VecHashAggregateNode::VecHashAggregateNode(ExecNodePtr child,
-                                           std::vector<ExprPtr> group_exprs,
-                                           std::vector<AggSpec> aggs,
-                                           Schema out_schema, ExecContext* ctx)
-    : ExecNode(std::move(out_schema)),
-      child_(std::move(child)),
-      group_exprs_(std::move(group_exprs)),
-      aggs_(std::move(aggs)),
-      ctx_(ctx) {}
-
-std::string VecHashAggregateNode::detail() const {
-  std::string out = "keys=" + std::to_string(group_exprs_.size()) +
-                    " aggs=" + std::to_string(aggs_.size());
-  if (!group_exprs_.empty()) out += " by " + JoinExprs(group_exprs_, ", ");
-  return out;
-}
-
-void VecHashAggregateNode::AppendExtraCounters(
-    std::vector<std::pair<std::string, int64_t>>* out) const {
-  out->emplace_back("groups", static_cast<int64_t>(results_.size()));
-  out->emplace_back("est_bytes", table_bytes_);
-  out->emplace_back("encoded_keys", group_index_.encoded_keys());
-  out->emplace_back("generic_keys", group_index_.generic_keys());
-}
-
-size_t VecHashAggregateNode::FindOrAddGroup(const Row& key) {
-  // Lookups of existing groups — the hot case — never allocate; the key is
-  // copied only when a group is new.
-  bool inserted = false;
-  const uint32_t group = group_index_.Insert(key, &inserted);
-  if (inserted) {
-    group_keys_.push_back(key);
-    group_states_.emplace_back(aggs_.size());
-  }
-  return group;
-}
-
-Status VecHashAggregateNode::Accumulate(const Row& row) {
-  key_scratch_.clear();
-  for (const ExprPtr& e : group_exprs_) {
-    MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx_));
-    key_scratch_.push_back(std::move(v));
-  }
-  const size_t group = FindOrAddGroup(key_scratch_);
-  std::vector<AggState>& states = group_states_[group];
-  for (size_t i = 0; i < aggs_.size(); ++i) {
-    Value arg;  // NULL placeholder for COUNT(*)
-    if (aggs_[i].arg != nullptr) {
-      MR_ASSIGN_OR_RETURN(arg, EvalExpr(*aggs_[i].arg, row, ctx_));
-    }
-    MR_RETURN_IF_ERROR(AddToState(&states[i], aggs_[i].func, arg));
-  }
-  return Status::OK();
-}
-
-Status VecHashAggregateNode::AddToState(AggState* state, AggFunc func,
-                                        const Value& value) const {
-  // Field-for-field the row path's AggAccumulator::Add, restricted to the
-  // non-DISTINCT shapes the factory admits.
-  if (func == AggFunc::kCountStar) {
-    ++state->count;
-    return Status::OK();
-  }
-  if (value.is_null()) return Status::OK();
-  switch (func) {
-    case AggFunc::kCount:
-      ++state->count;
-      return Status::OK();
-    case AggFunc::kSum:
-    case AggFunc::kAvg: {
-      if (!value.is_numeric()) {
-        return Status::TypeError("SUM/AVG over non-numeric value");
-      }
-      ++state->count;
-      if (value.type() == DataType::kInteger) {
-        if (state->all_integers &&
-            __builtin_add_overflow(state->int_sum, value.AsInteger(),
-                                   &state->int_sum)) {
-          state->all_integers = false;
-        }
-      } else {
-        state->all_integers = false;
-      }
-      state->double_sum += value.AsDouble();
-      return Status::OK();
-    }
-    case AggFunc::kMin: {
-      ++state->count;
-      if (state->extreme.is_null()) {
-        state->extreme = value;
-      } else {
-        MR_ASSIGN_OR_RETURN(int cmp, value.SqlCompare(state->extreme));
-        if (cmp < 0) state->extreme = value;
-      }
-      return Status::OK();
-    }
-    case AggFunc::kMax: {
-      ++state->count;
-      if (state->extreme.is_null()) {
-        state->extreme = value;
-      } else {
-        MR_ASSIGN_OR_RETURN(int cmp, value.SqlCompare(state->extreme));
-        if (cmp > 0) state->extreme = value;
-      }
-      return Status::OK();
-    }
-    case AggFunc::kCountStar:
-      break;
-  }
-  return Status::Internal("unhandled aggregate in vectorized Add");
-}
-
-Result<Value> VecHashAggregateNode::FinishState(const AggState& state,
-                                                AggFunc func) const {
-  switch (func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Value::Integer(state.count);
-    case AggFunc::kSum:
-      if (state.count == 0) return Value::Null();
-      if (state.all_integers) return Value::Integer(state.int_sum);
-      return Value::Double(state.double_sum);
-    case AggFunc::kAvg:
-      if (state.count == 0) return Value::Null();
-      return Value::Double(state.double_sum /
-                           static_cast<double>(state.count));
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      return state.extreme;
-  }
-  return Status::Internal("unhandled aggregate in vectorized Finish");
-}
-
-Status VecHashAggregateNode::OpenImpl() {
-  group_keys_.clear();
-  group_states_.clear();
-  results_.clear();
-  pos_ = 0;
-
-  MR_RETURN_IF_ERROR(child_->Open());
-  // Aggregation happens serially in input order either way, so the
-  // order-sensitive SUM/AVG states match the row path bit-for-bit at any
-  // thread count. A parallel-capable child is drained morsel-parallel first
-  // (morsel-order concatenation reproduces the serial row order); a serial
-  // child streams straight into the accumulators with no buffering.
-  // The factory admits INTEGER group keys only, so the encoded path
-  // applies; the index is presized from the input count.
-  const int64_t estimate = child_->EstimatedRowCount();
-  if (ctx_->num_threads != 1 && child_->SupportsMorsels()) {
-    std::vector<Row> input;
-    if (estimate > 0) input.reserve(static_cast<size_t>(estimate));
-    MR_RETURN_IF_ERROR(
-        DrainOpenedNode(child_.get(), ctx_->num_threads, &input));
-    group_index_.Reset(group_exprs_.size(), /*encodable=*/true, input.size());
-    for (const Row& row : input) {
-      MR_RETURN_IF_ERROR(Accumulate(row));
-    }
-  } else {
-    group_index_.Reset(group_exprs_.size(), /*encodable=*/true,
-                       estimate > 0 ? static_cast<size_t>(estimate) : 0);
-    Row row;
-    while (true) {
-      MR_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
-      if (!more) break;
-      MR_RETURN_IF_ERROR(Accumulate(row));
-    }
-  }
-
-  // Global aggregate over empty input still emits one row.
-  if (group_exprs_.empty() && group_keys_.empty()) {
-    group_keys_.emplace_back();
-    group_states_.emplace_back(aggs_.size());
-  }
-
-  results_.reserve(group_keys_.size());
-  for (size_t g = 0; g < group_keys_.size(); ++g) {
-    Row out = group_keys_[g];
-    out.reserve(out.size() + aggs_.size());
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      MR_ASSIGN_OR_RETURN(Value v, FinishState(group_states_[g][i],
-                                               aggs_[i].func));
-      out.push_back(std::move(v));
-    }
-    results_.push_back(std::move(out));
-  }
-  table_bytes_ = AccountBufferBytes("sql.aggregate.table_peak_bytes", results_);
-  return Status::OK();
-}
-
-Result<bool> VecHashAggregateNode::NextImpl(Row* out) {
-  if (pos_ >= results_.size()) return false;
-  *out = results_[pos_++];
-  return true;
-}
-
-// ---------------------------------------------------------------------------
 // Factories
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// True when `expr` is a NEXTVAL-free expression whose bound type is
-/// `want` (an InferExprType error just means "not eligible" — the row
-/// operator will surface it, identically, at execution).
-bool InfersTo(const ExprPtr& expr, DataType want) {
-  if (ContainsNextVal(*expr)) return false;
-  Result<DataType> type = InferExprType(*expr);
-  return type.ok() && *type == want;
-}
-
-bool VecAggEligible(const std::vector<ExprPtr>& group_exprs,
-                    const std::vector<AggSpec>& aggs) {
-  for (const ExprPtr& g : group_exprs) {
-    if (!InfersTo(g, DataType::kInteger)) return false;
-  }
-  for (const AggSpec& spec : aggs) {
-    if (spec.distinct) return false;
-    if (spec.arg != nullptr && ContainsNextVal(*spec.arg)) return false;
-    switch (spec.func) {
-      case AggFunc::kCountStar:
-      case AggFunc::kCount:
-        break;  // count any (or no) argument type
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        if (spec.arg == nullptr) return false;
-        if (!InfersTo(spec.arg, DataType::kInteger) &&
-            !InfersTo(spec.arg, DataType::kDouble)) {
-          return false;
-        }
-        break;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-// A memory budget (ctx->memory_limit >= 0) disables the vectorized
-// substitutions wholesale: the budgeted operators are the row-at-a-time
-// spill paths of DESIGN.md §13, and the columnar shims buffer whole columns
-// with no spill story. Results are bit-identical either way, so the budget
-// only changes the execution strategy — exactly like the vectorized flag
-// itself.
 ExecNodePtr MakeScanNode(std::shared_ptr<Table> table, ExecContext* ctx) {
-  if (ctx->vectorized && ctx->memory_limit < 0) {
+  if (ctx->vectorized) {
     return std::make_unique<VecScanNode>(std::move(table));
   }
   return std::make_unique<TableScanNode>(std::move(table));
@@ -792,8 +392,7 @@ ExecNodePtr MakeScanNode(std::shared_ptr<Table> table, ExecContext* ctx) {
 
 ExecNodePtr MakeFilterNode(ExecNodePtr child, ExprPtr predicate,
                            ExecContext* ctx) {
-  if (ctx->vectorized && ctx->memory_limit < 0 &&
-      dynamic_cast<VecScanNode*>(child.get()) != nullptr &&
+  if (dynamic_cast<VecScanNode*>(child.get()) != nullptr &&
       !ContainsNextVal(*predicate)) {
     std::unique_ptr<VecScanNode> scan(
         static_cast<VecScanNode*>(child.release()));
@@ -802,38 +401,6 @@ ExecNodePtr MakeFilterNode(ExecNodePtr child, ExprPtr predicate,
   }
   return std::make_unique<FilterNode>(std::move(child), std::move(predicate),
                                       ctx);
-}
-
-ExecNodePtr MakeHashJoinNode(ExecNodePtr left, ExecNodePtr right,
-                             std::vector<ExprPtr> left_keys,
-                             std::vector<ExprPtr> right_keys, ExprPtr residual,
-                             ExecContext* ctx, bool swap_build) {
-  if (!swap_build && ctx->vectorized && ctx->memory_limit < 0 &&
-      residual == nullptr && left_keys.size() == 1 &&
-      InfersTo(left_keys[0], DataType::kInteger) &&
-      InfersTo(right_keys[0], DataType::kInteger)) {
-    return std::make_unique<VecHashJoinNode>(
-        std::move(left), std::move(right), std::move(left_keys[0]),
-        std::move(right_keys[0]), ctx);
-  }
-  return std::make_unique<HashJoinNode>(
-      std::move(left), std::move(right), std::move(left_keys),
-      std::move(right_keys), std::move(residual), ctx, swap_build);
-}
-
-ExecNodePtr MakeHashAggregateNode(ExecNodePtr child,
-                                  std::vector<ExprPtr> group_exprs,
-                                  std::vector<AggSpec> aggs, Schema out_schema,
-                                  ExecContext* ctx) {
-  if (ctx->vectorized && ctx->memory_limit < 0 &&
-      VecAggEligible(group_exprs, aggs)) {
-    return std::make_unique<VecHashAggregateNode>(
-        std::move(child), std::move(group_exprs), std::move(aggs),
-        std::move(out_schema), ctx);
-  }
-  return std::make_unique<HashAggregateNode>(
-      std::move(child), std::move(group_exprs), std::move(aggs),
-      std::move(out_schema), ctx);
 }
 
 }  // namespace minerule::sql

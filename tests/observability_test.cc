@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,11 @@ namespace {
 
 class ObservabilityTest : public ::testing::Test {
  protected:
-  ObservabilityTest() : system_(&catalog_) {}
+  // Plans are pinned below, and the memory budget selects the scan path,
+  // so every test starts unbudgeted regardless of MINERULE_MEMORY_LIMIT.
+  ObservabilityTest() : system_(&catalog_) {
+    system_.sql_engine()->set_memory_limit(-1);
+  }
 
   sql::QueryResult MustSql(const std::string& sql) {
     auto result = system_.ExecuteSql(sql);
@@ -48,9 +53,12 @@ class ObservabilityTest : public ::testing::Test {
 };
 
 // Non-ANALYZE EXPLAIN output carries no timings or row counts, so it is
-// deterministic — pinned here as a golden plan.
+// deterministic — pinned here as a golden plan. A memory budget (here one
+// that never spills) keeps the row TableScan/Filter that feed the spill
+// operators: the engine's one executor selection rule (DESIGN.md §12).
 TEST_F(ObservabilityTest, ExplainGoldenPlan) {
   SetUpSmallTables();
+  system_.sql_engine()->set_memory_limit(std::numeric_limits<int64_t>::max());
   EXPECT_EQ(Plan("EXPLAIN SELECT t.b, s.c FROM t, s WHERE t.a = s.a AND "
                  "s.c > 1 ORDER BY t.b LIMIT 2"),
             "Limit (2)\n"
@@ -66,40 +74,43 @@ TEST_F(ObservabilityTest, ExplainGoldenPlan) {
             "  -> Filter ((COUNT(*) > 0))\n"
             "    -> HashAggregate (keys=1 aggs=1 by a)\n"
             "      -> TableScan (t)\n");
+  // A single-table predicate stays a row Filter over the TableScan.
+  EXPECT_EQ(Plan("EXPLAIN SELECT b FROM t WHERE a >= 2"),
+            "Project (b)\n"
+            "  -> Filter ((a >= 2))\n"
+            "    -> TableScan (t)\n");
 }
 
-// With vectorized execution on, the same statements plan onto the batch
-// operators; the plan shape is unchanged, only the operator names and the
-// fused scan+filter differ (DESIGN.md §12).
+// Unbudgeted (the default), the same statements scan base tables columnar;
+// the plan shape is unchanged, only the scan names and the fused
+// scan+filter differ, and joins and aggregates are the same row operators
+// (DESIGN.md §12).
 TEST_F(ObservabilityTest, ExplainGoldenPlanVectorized) {
   SetUpSmallTables();
-  system_.sql_engine()->set_vectorized(true);
   EXPECT_EQ(Plan("EXPLAIN SELECT t.b, s.c FROM t, s WHERE t.a = s.a AND "
                  "s.c > 1 ORDER BY t.b LIMIT 2"),
             "Limit (2)\n"
             "  -> Sort (b)\n"
             "    -> Project (t.b, s.c)\n"
             "      -> Filter ((s.c > 1))\n"
-            "        -> VecHashJoin (t.a = s.a)\n"
+            "        -> HashJoin (t.a = s.a)\n"
             "          -> VecScan (t)\n"
             "          -> VecScan (s)\n");
   EXPECT_EQ(Plan("EXPLAIN SELECT a, COUNT(*) FROM t GROUP BY a "
                  "HAVING COUNT(*) > 0"),
             "Project (a, COUNT(*))\n"
             "  -> Filter ((COUNT(*) > 0))\n"
-            "    -> VecHashAggregate (keys=1 aggs=1 by a)\n"
+            "    -> HashAggregate (keys=1 aggs=1 by a)\n"
             "      -> VecScan (t)\n");
   // A single-table predicate fuses with the scan into VecFilter.
   EXPECT_EQ(Plan("EXPLAIN SELECT b FROM t WHERE a >= 2"),
             "Project (b)\n"
             "  -> VecFilter ((a >= 2))\n"
             "    -> VecScan (t)\n");
-  system_.sql_engine()->set_vectorized(false);
 }
 
 TEST_F(ObservabilityTest, ExplainAnalyzeVectorizedBatchCounters) {
   SetUpSmallTables();
-  system_.sql_engine()->set_vectorized(true);
   const std::string plan = Plan("EXPLAIN ANALYZE SELECT b FROM t WHERE a >= 2");
   // 3 input rows fit one batch; 2 survive -> density 100*2/3 = 66.
   EXPECT_NE(plan.find("VecFilter ((a >= 2)) rows=2"), std::string::npos) << plan;
@@ -107,25 +118,38 @@ TEST_F(ObservabilityTest, ExplainAnalyzeVectorizedBatchCounters) {
   EXPECT_NE(plan.find("sel_vector_density=66"), std::string::npos) << plan;
   EXPECT_NE(plan.find("est_bytes="), std::string::npos) << plan;
 
+  // Row hash operators over columnar scans keep their own counters, and
+  // each VecScan accounts the rows it fed them.
   const std::string join =
       Plan("EXPLAIN ANALYZE SELECT t.b FROM t, s WHERE t.a = s.a");
-  EXPECT_NE(join.find("VecHashJoin"), std::string::npos) << join;
+  EXPECT_NE(join.find("HashJoin (t.a = s.a) rows=2"), std::string::npos)
+      << join;
   EXPECT_NE(join.find("build_rows=2"), std::string::npos) << join;
   EXPECT_NE(join.find("buckets="), std::string::npos) << join;
+  EXPECT_NE(join.find("VecScan (t) rows=3"), std::string::npos) << join;
+  EXPECT_NE(join.find("VecScan (s) rows=2"), std::string::npos) << join;
 
   const std::string agg =
       Plan("EXPLAIN ANALYZE SELECT a, COUNT(*) FROM t GROUP BY a");
-  EXPECT_NE(agg.find("VecHashAggregate"), std::string::npos) << agg;
+  EXPECT_NE(agg.find("HashAggregate (keys=1 aggs=1 by a) rows=3"),
+            std::string::npos)
+      << agg;
   EXPECT_NE(agg.find("groups=3"), std::string::npos) << agg;
-  system_.sql_engine()->set_vectorized(false);
+  EXPECT_NE(agg.find("VecScan (t) rows=3"), std::string::npos) << agg;
 }
 
 TEST_F(ObservabilityTest, ExplainAnalyzeReportsRowsAndTime) {
   SetUpSmallTables();
-  const std::string plan = Plan("EXPLAIN ANALYZE SELECT b FROM t WHERE a >= 2");
-  EXPECT_NE(plan.find("Filter ((a >= 2)) rows=2"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("TableScan (t) rows=3"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("time="), std::string::npos) << plan;
+  // Default (columnar) and budgeted (row) plans report the same counts.
+  for (int64_t budget : {int64_t{-1}, std::numeric_limits<int64_t>::max()}) {
+    system_.sql_engine()->set_memory_limit(budget);
+    const std::string plan =
+        Plan("EXPLAIN ANALYZE SELECT b FROM t WHERE a >= 2");
+    EXPECT_NE(plan.find("Filter ((a >= 2)) rows=2"), std::string::npos)
+        << plan;
+    EXPECT_NE(plan.find("Scan (t) rows=3"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("time="), std::string::npos) << plan;
+  }
 }
 
 TEST_F(ObservabilityTest, ExplainAnalyzeHashJoinCounters) {
@@ -173,18 +197,11 @@ TEST_F(ObservabilityTest, ExplainAnalyzeReportsKeyIndexPath) {
   EXPECT_NE(agg.find("encoded_keys=0"), std::string::npos) << agg;
   EXPECT_NE(agg.find("generic_keys=3"), std::string::npos) << agg;
 
-  system_.sql_engine()->set_vectorized(true);
-  const std::string vec_join = line(
-      Plan("EXPLAIN ANALYZE SELECT t.b FROM t, s WHERE t.a = s.a"),
-      "VecHashJoin");
-  EXPECT_NE(vec_join.find("encoded_keys=2"), std::string::npos) << vec_join;
-  EXPECT_NE(vec_join.find("generic_keys=0"), std::string::npos) << vec_join;
-  const std::string vec_agg = line(
+  const std::string int_agg = line(
       Plan("EXPLAIN ANALYZE SELECT a, COUNT(*) FROM t GROUP BY a"),
-      "VecHashAggregate");
-  EXPECT_NE(vec_agg.find("encoded_keys=3"), std::string::npos) << vec_agg;
-  EXPECT_NE(vec_agg.find("generic_keys=0"), std::string::npos) << vec_agg;
-  system_.sql_engine()->set_vectorized(false);
+      "HashAggregate");
+  EXPECT_NE(int_agg.find("encoded_keys=3"), std::string::npos) << int_agg;
+  EXPECT_NE(int_agg.find("generic_keys=0"), std::string::npos) << int_agg;
 }
 
 // ANALYZE on a side-effecting statement profiles the SELECT only: the

@@ -170,12 +170,12 @@ TEST_F(ServerSocketTest, MineRuleOverTheWire) {
 
 TEST_F(ServerSocketTest, BackslashCommands) {
   Client client(path_);
-  auto response = client.Roundtrip("\\set vectorized on\n");
+  auto response = client.Roundtrip("\\set cost_based on\n");
   ASSERT_EQ(response.size(), 1u);
   EXPECT_EQ(response[0], "OK");
   response = client.Roundtrip("\\set threads 2\n");
   EXPECT_EQ(response[0], "OK");
-  response = client.Roundtrip("\\set vectorized sideways\n");
+  response = client.Roundtrip("\\set cost_based sideways\n");
   EXPECT_EQ(response[0].rfind("ERR ", 0), 0u) << response[0];
   response = client.Roundtrip("\\frobnicate\n");
   EXPECT_EQ(response[0].rfind("ERR unknown command", 0), 0u) << response[0];
@@ -203,7 +203,7 @@ TEST_F(ServerSocketTest, ConcurrentConnectionsGetOwnSessions) {
       }
       // Each connection has private options; churn them to prove no
       // cross-talk crashes or leaks settings mid-flight.
-      auto set = client.Roundtrip(k % 2 == 0 ? "\\set vectorized on\n"
+      auto set = client.Roundtrip(k % 2 == 0 ? "\\set threads 2\n"
                                              : "\\set cost_based on\n");
       if (set.empty() || set[0] != "OK") failures.fetch_add(1);
     });
@@ -259,14 +259,19 @@ TEST_F(ServerSocketTest, SetCommandKeyMatrix) {
             "ERR usage: \\set NAME VALUE");
 
   // on|off keys, including case-insensitive key names.
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set vectorized on"), "OK");
-  EXPECT_TRUE(s->options()->vectorized_sql);
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set VECTORIZED off"), "OK");
-  EXPECT_FALSE(s->options()->vectorized_sql);
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set vectorized sideways"),
-            "ERR expected on|off for \\set vectorized, got 'sideways'");
   EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based on"), "OK");
   EXPECT_TRUE(s->options()->cost_based_sql);
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set COST_BASED off"), "OK");
+  EXPECT_FALSE(s->options()->cost_based_sql);
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based sideways"),
+            "ERR expected on|off for \\set cost_based, got 'sideways'");
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based on"), "OK");
+  EXPECT_TRUE(s->options()->cost_based_sql);
+  // The scan path follows the memory budget; it is not a session option.
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set vectorized on"),
+            "ERR unknown option: vectorized");
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set VECTORIZED off"),
+            "ERR unknown option: vectorized");
 
   // Integer keys: strict parse, no trailing junk, no empty, range-checked.
   EXPECT_EQ(server::ApplySetCommand(s, "\\set threads 3"), "OK");
@@ -275,6 +280,15 @@ TEST_F(ServerSocketTest, SetCommandKeyMatrix) {
             "ERR expected an integer for \\set threads, got '2x'");
   EXPECT_EQ(server::ApplySetCommand(s, "\\set threads banana"),
             "ERR expected an integer for \\set threads, got 'banana'");
+  // Threads is an int: values past its range are rejected, not truncated
+  // (2^32 + 1 would wrap to 1, 2^31 to INT_MIN, i.e. every hardware thread).
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set threads 4294967297"),
+            "ERR expected an integer for \\set threads, got '4294967297'");
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set threads 2147483648"),
+            "ERR expected an integer for \\set threads, got '2147483648'");
+  EXPECT_EQ(s->options()->num_threads, 3);
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set threads 2147483647"), "OK");
+  EXPECT_EQ(s->options()->num_threads, 2147483647);
   EXPECT_EQ(server::ApplySetCommand(
                 s, "\\set memory_limit 99999999999999999999999999"),
             "ERR expected an integer for \\set memory_limit, got "

@@ -2,10 +2,12 @@
 // (DESIGN.md §13): every query must produce BIT-identical results — same
 // rows in the same order, or the same error — with the budget off, at a
 // budget of zero (everything spills), one byte, and a mid-sized budget, at
-// every thread count. Also covers the spill observability counters, the
-// MINERULE_MEMORY_LIMIT seeding, MiningOptions::memory_limit plumbing, the
-// all-NULL-build-key estimate, error propagation mid-spill, and the
-// no-leaked-temp-files guarantee.
+// every thread count. The unbudgeted baseline scans and filters columnar
+// while any budget keeps the row scan/filter (DESIGN.md §12), so every
+// comparison here is also columnar against row. Also covers the spill
+// observability counters, the MINERULE_MEMORY_LIMIT seeding,
+// MiningOptions::memory_limit plumbing, the all-NULL-build-key estimate,
+// error propagation mid-spill, and the no-leaked-temp-files guarantee.
 
 #include <gtest/gtest.h>
 
@@ -329,8 +331,9 @@ TEST(MineRuleSpillTest, WholePipelineBitIdenticalUnderBudget) {
       "CONFIDENCE: 0.3";
   std::string baseline;
   bool have_baseline = false;
-  for (int64_t budget : {mr::MiningOptions::kMemoryLimitInherit, int64_t{0},
-                         int64_t{4096}}) {
+  // An explicit -1 baseline keeps the columnar side in the comparison even
+  // when MINERULE_MEMORY_LIMIT seeds the engine with a budget.
+  for (int64_t budget : {int64_t{-1}, int64_t{0}, int64_t{4096}}) {
     for (int threads : {1, 8}) {
       Catalog catalog;
       mr::DataMiningSystem system(&catalog);

@@ -236,7 +236,10 @@ TEST_F(MixedKeyJoinTest, RandomizedMixedKeys) {
 // row order, must equal a reference computed straight from the rows: first-
 // seen order for DISTINCT and GROUP BY, left-major nested-loop order for the
 // join. Runs at threads {1, 2, 8}, with and without a 1 KiB memory budget
-// and with the vectorized operators on and off.
+// and with cost-based planning on and off. Unbudgeted, the syntactic planner
+// scans columnar, while the cost-based planner falls back to the row
+// scan/filter on these small tables; a budget always keeps the row
+// scan/filter, so every executor combination is pinned to the reference.
 class KeyClassSqlDifferentialTest
     : public ::testing::TestWithParam<std::tuple<int, int64_t, bool>> {
  protected:
@@ -244,10 +247,10 @@ class KeyClassSqlDifferentialTest
   static constexpr int kRightRows = 400;
 
   KeyClassSqlDifferentialTest() : engine_(&catalog_) {
-    const auto& [threads, budget, vectorized] = GetParam();
+    const auto& [threads, budget, cost_based] = GetParam();
     engine_.set_num_threads(threads);
     engine_.set_memory_limit(budget);
-    engine_.set_vectorized(vectorized);
+    engine_.set_cost_based(cost_based);
   }
 
   /// Creates L(<key columns>, v) and R(<key columns>, w) with `draw`

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -149,9 +150,10 @@ TEST_P(SqlParallelDifferentialTest, QuerySweepBitIdentical) {
 
 TEST_P(SqlParallelDifferentialTest, MemoryBudgetKeepsThreadCountInvariance) {
   GenerateTables(GetParam());
-  // With a one-byte budget every buffering operator spills (DESIGN.md §13);
-  // the disk-backed paths must preserve the bit-identity guarantee across
-  // thread counts, and match the unbudgeted serial baseline exactly.
+  // With a one-byte budget every buffering operator spills (DESIGN.md §13)
+  // and the scans run row-at-a-time; the disk-backed paths must preserve the
+  // bit-identity guarantee across thread counts, and match the unbudgeted
+  // (columnar) serial baseline exactly.
   const char* queries[] = {
       "SELECT k, v FROM L ORDER BY k DESC, v",
       "SELECT L.k, L.v, R.w FROM L, R WHERE L.k = R.k",
@@ -160,6 +162,7 @@ TEST_P(SqlParallelDifferentialTest, MemoryBudgetKeepsThreadCountInvariance) {
       "HAVING COUNT(*) > 2 ORDER BY L.k",
   };
   for (const char* sql : queries) {
+    engine_.set_memory_limit(-1);
     auto base = engine_.Execute(sql);
     ASSERT_TRUE(base.ok()) << sql << " -> " << base.status();
     std::vector<std::string> baseline = RenderRows(base.value().rows);
@@ -269,6 +272,9 @@ TEST_F(ParallelCountersTest, WorkersAndMorselsSurfaceInAnalyzeProfile) {
          Value::Integer(static_cast<int64_t>(i))});
   }
 
+  // The row TableScan/Filter, which a memory budget selects (one that
+  // never spills here), are both morsel sources.
+  engine_.set_memory_limit(std::numeric_limits<int64_t>::max());
   engine_.set_num_threads(8);
   auto result =
       engine_.Execute("EXPLAIN ANALYZE SELECT v FROM T WHERE v >= 1000");
@@ -297,6 +303,26 @@ TEST_F(ParallelCountersTest, WorkersAndMorselsSurfaceInAnalyzeProfile) {
       FindOp(serial.value().profile, "TableScan");
   ASSERT_NE(serial_scan, nullptr);
   EXPECT_EQ(Counter(*serial_scan, "morsels"), -1);
+
+  // Unbudgeted, the fused VecFilter is the morsel source and its VecScan
+  // accounts every row it read from the columns.
+  engine_.set_memory_limit(-1);
+  engine_.set_num_threads(8);
+  auto columnar =
+      engine_.Execute("EXPLAIN ANALYZE SELECT v FROM T WHERE v >= 1000");
+  ASSERT_TRUE(columnar.ok()) << columnar.status();
+  const sql::OperatorProfile* vec_filter =
+      FindOp(columnar.value().profile, "VecFilter");
+  ASSERT_NE(vec_filter, nullptr);
+  EXPECT_EQ(vec_filter->rows, static_cast<int64_t>(kRows - 1000));
+  EXPECT_EQ(Counter(*vec_filter, "morsels"),
+            static_cast<int64_t>(MorselCount(kRows, sql::kMorselRows)));
+  EXPECT_GE(Counter(*vec_filter, "workers"), 1);
+  const sql::OperatorProfile* vec_scan =
+      FindOp(columnar.value().profile, "VecScan");
+  ASSERT_NE(vec_scan, nullptr);
+  EXPECT_EQ(vec_scan->rows, static_cast<int64_t>(kRows));
+  engine_.set_num_threads(1);
 }
 
 TEST_F(ParallelCountersTest, EmptyBuildSkipsProbeSideScan) {
@@ -311,6 +337,7 @@ TEST_F(ParallelCountersTest, EmptyBuildSkipsProbeSideScan) {
         {Value::Integer(i % 7), Value::Integer(i)});
   }
 
+  engine_.set_memory_limit(-1);
   for (int threads : {1, 8}) {
     engine_.set_num_threads(threads);
     auto result = engine_.Execute(
@@ -321,9 +348,10 @@ TEST_F(ParallelCountersTest, EmptyBuildSkipsProbeSideScan) {
     ASSERT_NE(join, nullptr);
     EXPECT_EQ(join->rows, 0);
     EXPECT_EQ(Counter(*join, "probe_skipped"), 1) << threads << " threads";
-    // The probe-side scan never ran: no rows pulled.
+    // The probe-side scan (the first VecScan in plan order) never ran: no
+    // rows pulled.
     const sql::OperatorProfile* scan =
-        FindOp(result.value().profile, "TableScan");
+        FindOp(result.value().profile, "VecScan");
     ASSERT_NE(scan, nullptr);
     EXPECT_EQ(scan->rows, 0);
   }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -303,12 +304,12 @@ TEST_F(CostBasedPlanningTest, SwapsBuildSideOnSkew) {
   ASSERT_FALSE(baseline.empty());
 
   engine_.set_cost_based(true);
-  // Row-at-a-time, vectorized, spilled, threaded: all byte-identical to the
-  // syntactic baseline.
-  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based row engine";
-  engine_.set_vectorized(true);
-  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based vectorized";
-  engine_.set_vectorized(false);
+  // Columnar, row scan (a budget that never spills), spilled, threaded: all
+  // byte-identical to the syntactic baseline.
+  engine_.set_memory_limit(-1);
+  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based columnar";
+  engine_.set_memory_limit(std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based row scan";
   engine_.set_memory_limit(1024);
   EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based spilled";
   engine_.set_memory_limit(-1);

@@ -1,17 +1,22 @@
-// Differential tests of columnar/vectorized execution (DESIGN.md §12):
-// every query must produce BIT-identical results — same rows in the same
-// order, or the same error — on the volcano row path and the vectorized
-// batch path, at every thread count. Covers the Q0..Q11-shaped SELECT
-// surface (fused scan+filter, int-keyed hash join with probe skip,
-// int-keyed aggregation, DISTINCT, ORDER BY, HAVING, LIMIT, subqueries),
-// every filter-kernel kind (int/int, int/double, double/double, dictionary,
-// constant verdicts) plus the row-path fallbacks, randomized queries, DML
-// through SELECT, and full MINE RULE runs compared by catalog dump.
+// Differential tests of the columnar scan path (DESIGN.md §12): every query
+// must produce BIT-identical results — same rows in the same order, or the
+// same error — on the default columnar scan/filter and on the row
+// TableScan/Filter, at every thread count. The row path is the reference;
+// an explicit memory budget that never spills selects it (the one selection
+// rule), and both sides set their budget explicitly so MINERULE_MEMORY_LIMIT
+// in the environment never changes what is compared. Covers the
+// Q0..Q11-shaped SELECT surface (fused scan+filter, hash join over columnar
+// inputs with probe skip, aggregation, DISTINCT, ORDER BY, HAVING, LIMIT,
+// subqueries), every filter-kernel kind (int/int, int/double, double/double,
+// dictionary, constant verdicts) plus the row-path fallbacks, randomized
+// queries, DML through SELECT, and full MINE RULE runs compared by catalog
+// dump.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,7 +30,16 @@ namespace minerule {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
-constexpr bool kVectorized[] = {false, true};
+
+/// Memory budgets selecting the two scan paths: none (columnar, the
+/// default) and one no working set reaches (row, nothing spills).
+constexpr int64_t kColumnar = -1;
+constexpr int64_t kRowPath = std::numeric_limits<int64_t>::max();
+constexpr int64_t kScanPaths[] = {kRowPath, kColumnar};
+
+const char* ScanPathName(int64_t budget) {
+  return budget == kColumnar ? "columnar" : "row";
+}
 
 std::vector<std::string> RenderRows(const std::vector<Row>& rows) {
   std::vector<std::string> out;
@@ -131,11 +145,11 @@ class VectorizedDifferentialTest : public ::testing::TestWithParam<uint64_t> {
     }
   }
 
-  /// Runs `sql` on the volcano path and the vectorized path at every thread
-  /// count and requires the outcome — rows in order, or the error — to be
+  /// Runs `sql` on the row and the columnar scan path at every thread count
+  /// and requires the outcome — rows in order, or the error — to be
   /// identical to the row-path serial baseline.
   void ExpectIdenticalAcrossModes(const std::string& sql) {
-    engine_.set_vectorized(false);
+    engine_.set_memory_limit(kRowPath);
     engine_.set_num_threads(1);
     auto base = engine_.Execute(sql);
     std::vector<std::string> baseline_rows;
@@ -145,12 +159,12 @@ class VectorizedDifferentialTest : public ::testing::TestWithParam<uint64_t> {
     } else {
       baseline_error = base.status().ToString();
     }
-    for (bool vec : kVectorized) {
+    for (int64_t budget : kScanPaths) {
       for (int threads : kThreadCounts) {
-        engine_.set_vectorized(vec);
+        engine_.set_memory_limit(budget);
         engine_.set_num_threads(threads);
         auto result = engine_.Execute(sql);
-        const char* mode = vec ? "vectorized" : "volcano";
+        const char* mode = ScanPathName(budget);
         if (base.ok()) {
           ASSERT_TRUE(result.ok())
               << sql << " failed on " << mode << "@" << threads << ": "
@@ -165,7 +179,7 @@ class VectorizedDifferentialTest : public ::testing::TestWithParam<uint64_t> {
         }
       }
     }
-    engine_.set_vectorized(false);
+    engine_.set_memory_limit(kColumnar);
     engine_.set_num_threads(1);
   }
 
@@ -202,21 +216,22 @@ TEST_P(VectorizedDifferentialTest, QuerySweepBitIdentical) {
       "SELECT id FROM F WHERE k + 1 > 50",
       "SELECT id FROM F WHERE k > 150 OR d < 10",
       "SELECT id FROM F WHERE k IS NULL",
-      // Int-keyed hash join (NULL keys never match) and join + filter.
+      // Int-keyed hash join over columnar inputs (NULL keys never match)
+      // and join + filter.
       "SELECT F.id, D.name FROM F, D WHERE F.k = D.k",
       "SELECT F.id, D.name FROM F, D WHERE F.k = D.k AND F.d > 100",
-      // Join with residual predicate stays on the row join.
+      // Join with a residual predicate.
       "SELECT F.id FROM F, D WHERE F.k = D.k AND F.id < D.k",
       // Empty build side: probe scan skipped on both paths.
       "SELECT F.id, E.name FROM F, E WHERE F.k = E.k",
-      // Int-keyed aggregation with the fixed-width states.
+      // Int-keyed aggregation over a columnar scan.
       "SELECT k, COUNT(*), MIN(d), MAX(k) FROM F GROUP BY k",
       "SELECT k, SUM(d), AVG(d) FROM F GROUP BY k",
       "SELECT k, COUNT(d), SUM(k) FROM F GROUP BY k",
       // Global aggregate and aggregate over an empty input.
       "SELECT COUNT(*), SUM(k), AVG(d), MIN(s) FROM F",
       "SELECT COUNT(*), MIN(k) FROM E",
-      // DISTINCT aggregates and string group keys stay on the row operator.
+      // DISTINCT aggregates and string group keys.
       "SELECT k, COUNT(DISTINCT s) FROM F GROUP BY k",
       "SELECT s, COUNT(*), SUM(d) FROM F GROUP BY s",
       // Aggregation over a join, HAVING, ORDER BY, LIMIT.
@@ -298,9 +313,10 @@ TEST_P(VectorizedDifferentialTest, RandomizedQueriesBitIdentical) {
 
 TEST_P(VectorizedDifferentialTest, MemoryBudgetDisablesVectorizedSubstitution) {
   GenerateTables(GetParam());
-  // The columnar shims have no spill story, so a budget falls back to the
-  // row operators (DESIGN.md §13) — with the vectorized knob on, results
-  // must still match the row-path baseline bit for bit.
+  // The columnar scan/filter has no spill story, so a budget keeps the row
+  // scan/filter feeding the spill operators (DESIGN.md §13); with every
+  // working set spilled, results must still match the columnar baseline
+  // bit for bit.
   const char* queries[] = {
       "SELECT id, k, d FROM F WHERE k > 50",
       "SELECT F.id, D.name FROM F, D WHERE F.k = D.k",
@@ -308,34 +324,33 @@ TEST_P(VectorizedDifferentialTest, MemoryBudgetDisablesVectorizedSubstitution) {
       "SELECT k, d FROM F WHERE d >= 0 ORDER BY k DESC, id LIMIT 37",
   };
   for (const char* sql : queries) {
+    engine_.set_memory_limit(kColumnar);
     auto base = engine_.Execute(sql);
     ASSERT_TRUE(base.ok()) << sql << " -> " << base.status();
     std::vector<std::string> baseline = RenderRows(base.value().rows);
-    engine_.set_vectorized(true);
     engine_.set_memory_limit(0);
     for (int threads : kThreadCounts) {
       engine_.set_num_threads(threads);
       auto result = engine_.Execute(sql);
       ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
       EXPECT_EQ(RenderRows(result.value().rows), baseline)
-          << sql << " diverged vectorized-under-budget at " << threads;
+          << sql << " diverged under budget at " << threads;
     }
-    engine_.set_vectorized(false);
-    engine_.set_memory_limit(-1);
+    engine_.set_memory_limit(kColumnar);
     engine_.set_num_threads(1);
   }
 }
 
 TEST_P(VectorizedDifferentialTest, DmlThroughSelectMatches) {
   GenerateTables(GetParam());
-  // CREATE TABLE AS SELECT and INSERT ... SELECT funnel vectorized results
-  // into stored tables; the stored bytes must match the row path.
+  // CREATE TABLE AS SELECT and INSERT ... SELECT funnel columnar-scan
+  // results into stored tables; the stored bytes must match the row path.
   std::string baseline;
   bool have_baseline = false;
-  for (bool vec : kVectorized) {
+  for (int64_t budget : kScanPaths) {
     for (int threads : kThreadCounts) {
       (void)engine_.Execute("DROP TABLE IF EXISTS agg_out");
-      engine_.set_vectorized(vec);
+      engine_.set_memory_limit(budget);
       engine_.set_num_threads(threads);
       ASSERT_TRUE(engine_
                       .Execute("CREATE TABLE agg_out AS SELECT k, COUNT(*) AS "
@@ -357,12 +372,11 @@ TEST_P(VectorizedDifferentialTest, DmlThroughSelectMatches) {
         have_baseline = true;
         continue;
       }
-      EXPECT_EQ(dump, baseline) << "DML diverged on "
-                                << (vec ? "vectorized" : "volcano") << "@"
-                                << threads;
+      EXPECT_EQ(dump, baseline) << "DML diverged on " << ScanPathName(budget)
+                                << "@" << threads;
     }
   }
-  engine_.set_vectorized(false);
+  engine_.set_memory_limit(kColumnar);
   engine_.set_num_threads(1);
 }
 
@@ -371,8 +385,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedDifferentialTest,
 
 // Full MINE RULE runs over identical source data must leave byte-identical
 // catalogs (every preprocessor Q0..Q11 intermediate kept via
-// keep_encoded_tables, the rule tables, and the postprocessor output) with
-// the vectorized engine on or off, at every thread count.
+// keep_encoded_tables, the rule tables, and the postprocessor output) on the
+// columnar and the row scan path, at every thread count.
 TEST(MineRuleVectorizedTest, WholePipelineBitIdenticalAcrossEngines) {
   const char* statements[] = {
       "MINE RULE S AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD "
@@ -386,7 +400,7 @@ TEST(MineRuleVectorizedTest, WholePipelineBitIdenticalAcrossEngines) {
   for (const char* text : statements) {
     std::string baseline;
     bool have_baseline = false;
-    for (bool vec : kVectorized) {
+    for (int64_t budget : kScanPaths) {
       for (int threads : kThreadCounts) {
         Catalog catalog;
         mr::DataMiningSystem system(&catalog);
@@ -397,7 +411,7 @@ TEST(MineRuleVectorizedTest, WholePipelineBitIdenticalAcrossEngines) {
             datagen::GenerateRetailTable(&catalog, "Purchase", params).ok());
         mr::MiningOptions options;
         options.num_threads = threads;
-        options.vectorized_sql = vec;
+        options.memory_limit = budget;
         options.keep_encoded_tables = true;
         auto stats = system.ExecuteMineRule(text, options);
         ASSERT_TRUE(stats.ok()) << stats.status();
@@ -409,8 +423,8 @@ TEST(MineRuleVectorizedTest, WholePipelineBitIdenticalAcrossEngines) {
           continue;
         }
         EXPECT_EQ(dump, baseline)
-            << "catalog diverged on " << (vec ? "vectorized" : "volcano")
-            << "@" << threads << " threads for: " << text;
+            << "catalog diverged on " << ScanPathName(budget) << "@"
+            << threads << " threads for: " << text;
       }
     }
   }
