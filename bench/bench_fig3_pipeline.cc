@@ -83,7 +83,7 @@ BENCHMARK(BM_PipelineSimple)
     ->Arg(1600)
     ->Unit(benchmark::kMillisecond);
 
-// --smoke: one tiny run per statement class, print the full JSON trace and
+// --smoke: one tiny run per statement class, print the run-stats JSON and
 // check that it parses. CI runs this to validate the observability layer
 // end to end without benchmark noise.
 int RunSmoke() {
@@ -114,7 +114,7 @@ int RunSmoke() {
     const std::string json = stats.value().ToJson();
     auto valid = ValidateJson(json);
     if (!valid.ok()) {
-      std::fprintf(stderr, "%s: trace JSON invalid: %s\n", c.label,
+      std::fprintf(stderr, "%s: stats JSON invalid: %s\n", c.label,
                    valid.ToString().c_str());
       return 1;
     }

@@ -35,7 +35,7 @@ void PrintHelp() {
       "  MINE RULE ...                              the mining operator\n"
       "Dot commands:\n"
       "  .help              this text\n"
-      "  \\trace             toggle the JSON run trace after MINE RULE\n"
+      "  \\trace             print the run stats JSON after MINE RULE\n"
       "  \\trace FILE        record spans; write Chrome trace JSON on exit\n"
       "  \\metrics           print the process-wide metrics registry\n"
       "  \\metrics prom      the same registry in Prometheus text format\n"
@@ -43,8 +43,8 @@ void PrintHelp() {
       "  .figure1           load the paper's Purchase table (Figure 1)\n"
       "  .quest N           load a Quest basket table 'Baskets' with N baskets\n"
       "  .retail N          load a retail 'Purchase' table with N customers\n"
-      "  .algorithm NAME    simple-core algorithm: gidlist apriori\n"
-      "                     apriori_tid dhp partition sampling\n"
+      "  .algorithm NAME    simple-core algorithm: auto (default) gidlist\n"
+      "                     apriori apriori_tid dhp partition sampling\n"
       "  .top TABLE [K]     browse a rule table: top-K by confidence\n"
       "  .item TABLE ITEM   rules mentioning ITEM in body or head\n"
       "  .save FILE         dump the whole database to a file\n"

@@ -7,22 +7,6 @@
 
 namespace minerule {
 
-void TraceRecorder::AppendJson(JsonWriter* writer) const {
-  writer->BeginArray();
-  for (const TraceEvent& event : events_) {
-    writer->BeginObject();
-    writer->Key("name").String(event.name);
-    writer->Key("kind").String(event.is_span ? "span" : "counter");
-    if (event.is_span) {
-      writer->Key("micros").Int(event.micros);
-    } else {
-      writer->Key("value").Int(event.value);
-    }
-    writer->EndObject();
-  }
-  writer->EndArray();
-}
-
 SpanTracer::SpanTracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 int64_t SpanTracer::NowMicros() const {

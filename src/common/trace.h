@@ -10,65 +10,8 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/stopwatch.h"
 
 namespace minerule {
-
-class JsonWriter;
-
-/// One recorded event: either a timed span (micros valid) or a named
-/// counter sample (value valid).
-struct TraceEvent {
-  std::string name;
-  int64_t micros = 0;
-  int64_t value = 0;
-  bool is_span = false;
-};
-
-/// Append-only recorder for pipeline phases and counters. Cheap enough to
-/// always be on; the events become the "trace" array of
-/// MiningRunStats::ToJson.
-class TraceRecorder {
- public:
-  void Span(std::string name, int64_t micros) {
-    events_.push_back({std::move(name), micros, 0, true});
-  }
-
-  void Counter(std::string name, int64_t value) {
-    events_.push_back({std::move(name), 0, value, false});
-  }
-
-  void Clear() { events_.clear(); }
-
-  const std::vector<TraceEvent>& events() const { return events_; }
-
-  /// Writes the events as a JSON array value (caller positions the writer,
-  /// e.g. after a Key).
-  void AppendJson(JsonWriter* writer) const;
-
- private:
-  std::vector<TraceEvent> events_;
-};
-
-/// RAII helper: records a span covering its own lifetime.
-class TraceSpan {
- public:
-  TraceSpan(TraceRecorder* recorder, std::string name)
-      : recorder_(recorder), name_(std::move(name)) {}
-  ~TraceSpan() {
-    if (recorder_ != nullptr) {
-      recorder_->Span(std::move(name_), stopwatch_.ElapsedMicros());
-    }
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
- private:
-  TraceRecorder* recorder_;
-  std::string name_;
-  Stopwatch stopwatch_;
-};
 
 // ---------------------------------------------------------------------------
 // Span tracing (DESIGN.md §11): timestamped, thread-attributed spans over

@@ -8,6 +8,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "sql/parser.h"
 #include "sql/system_tables.h"
 
@@ -53,39 +54,6 @@ void AppendSourceEpochs(const Catalog& catalog, const std::string& relation,
   }
   *key += ToLower(relation) + "@" +
           std::to_string(catalog.TableVersion(relation)) + ",";
-}
-
-/// Sums the est_bytes operator counters of each query and returns the
-/// largest per-query total — the queries run sequentially, so their buffer
-/// peaks do not stack.
-int64_t MaxQueryOperatorBytes(const std::vector<QueryStat>& stats) {
-  int64_t max_bytes = 0;
-  for (const QueryStat& q : stats) {
-    int64_t total = 0;
-    for (const sql::OperatorProfile& op : q.operators) {
-      for (const auto& [key, value] : op.counters) {
-        if (key == "est_bytes") total += value;
-      }
-    }
-    max_bytes = std::max(max_bytes, total);
-  }
-  return max_bytes;
-}
-
-/// Converts one phase's QueryStats into mr_query_profile records.
-void AppendQueryRecords(const std::vector<QueryStat>& stats,
-                        const char* phase,
-                        std::vector<sql::QueryProfileRecord>* out) {
-  for (const QueryStat& q : stats) {
-    sql::QueryProfileRecord record;
-    record.query_id = q.id;
-    record.phase = phase;
-    record.sql = q.sql;
-    record.rows = q.rows;
-    record.micros = q.micros;
-    record.operators = q.operators;
-    out->push_back(std::move(record));
-  }
 }
 
 }  // namespace
@@ -229,9 +197,6 @@ std::string MiningRunStats::ToJson() const {
   WriteIntArray(&w, pool.per_worker_busy_micros);
   w.EndObject();
 
-  w.Key("trace");
-  trace.AppendJson(&w);
-
   w.EndObject();
   return w.str();
 }
@@ -333,37 +298,47 @@ Result<mining::CodedSourceData> DataMiningSystem::FetchEncodedData(
 
 Result<MiningRunStats> DataMiningSystem::ExecuteMineRule(
     std::string_view text, const MiningOptions& options) {
-  Stopwatch watch;
-  MR_ASSIGN_OR_RETURN(MineRuleStatement stmt, ParseMineRule(text));
-  return ExecuteStatement(stmt, options);
+  Result<MineRuleStatement> stmt = ParseMineRule(text);
+  if (stmt.ok()) return ExecuteStatement(*stmt, options);
+  // A statement the parser rejects still gets its one mr_runs row.
+  Result<MiningRunStats> result = stmt.status();
+  RecordRun(std::string(text), options, /*total_micros=*/0, &result);
+  return result;
 }
 
 Result<MiningRunStats> DataMiningSystem::ExecuteStatement(
     const MineRuleStatement& stmt, const MiningOptions& options) {
-  // The wrapper records every execution — success or failure — as one row
-  // of the mr_runs system table and feeds the engine.* metrics, so the
-  // telemetry is queryable through the same SQL engine that ran the
-  // pipeline (DESIGN.md §11).
   Stopwatch total;
   Result<MiningRunStats> result = ExecuteStatementImpl(stmt, options);
-  const int64_t total_micros = total.ElapsedMicros();
+  RecordRun(stmt.ToString(), options, total.ElapsedMicros(), &result);
+  return result;
+}
 
+void DataMiningSystem::RecordRun(std::string statement,
+                                 const MiningOptions& options,
+                                 int64_t total_micros,
+                                 Result<MiningRunStats>* result) {
+  // Every execution — success or failure — becomes one row of the mr_runs
+  // system table and feeds the engine.* metrics, so the telemetry is
+  // queryable through the same SQL engine that ran the pipeline
+  // (DESIGN.md §11).
+  MiningRunStats* stats = result->ok() ? &**result : nullptr;
   sql::RunRecord run;
-  run.statement = stmt.ToString();
+  run.statement = std::move(statement);
   run.threads = ResolveThreadCount(options.num_threads);
   run.total_micros = total_micros;
   run.session_id = attribution_.session_id;
   run.queue_wait_micros = attribution_.queue_wait_micros;
   run.admission = attribution_.admission;
-  if (result.ok()) {
-    MiningRunStats& stats = *result;
-    run.rules = stats.core.rules_found;
-    run.peak_bytes = stats.peak_bytes;
-    run.reused_preprocess = stats.preprocessing_reused;
-    AppendQueryRecords(stats.preprocess_queries, "preprocess", &run.queries);
-    AppendQueryRecords(stats.postprocess_queries, "postprocess", &run.queries);
+  if (stats != nullptr) {
+    run.rules = stats->core.rules_found;
+    run.peak_bytes = stats->peak_bytes;
+    run.reused_preprocess = stats->preprocessing_reused;
+    run.queries = stats->preprocess_queries;
+    run.queries.insert(run.queries.end(), stats->postprocess_queries.begin(),
+                       stats->postprocess_queries.end());
   } else {
-    run.status = result.status().ToString();
+    run.status = result->status().ToString();
   }
 
   static Counter* runs = GlobalMetrics().GetCounter("engine.runs");
@@ -374,17 +349,16 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatement(
       "engine.run_micros", LatencyBucketsMicros());
   runs->Increment();
   run_micros->Observe(total_micros);
-  if (result.ok()) {
-    rules_found->Add(result->core.rules_found);
+  if (stats != nullptr) {
+    rules_found->Add(stats->core.rules_found);
     GlobalMetrics().GetGauge("engine.peak_bytes")->UpdateMax(
-        result->peak_bytes);
+        stats->peak_bytes);
   } else {
     failed->Increment();
   }
 
   const int64_t run_id = sql::GlobalObservability().RecordRun(std::move(run));
-  if (result.ok()) result->run_id = run_id;
-  return result;
+  if (stats != nullptr) stats->run_id = run_id;
 }
 
 Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
@@ -422,7 +396,6 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
   MR_ASSIGN_OR_RETURN(Translation translation, translator.Translate(stmt));
   stats.directives = translation.directives;
   stats.translate_seconds = phase.ElapsedSeconds();
-  stats.trace.Span("translate", phase.ElapsedMicros());
 
   // --- preprocessor ------------------------------------------------------
   stage_span.emplace("preprocess", "phase");
@@ -437,17 +410,15 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
     Preprocessor preprocessor(&sql_engine_);
     MR_ASSIGN_OR_RETURN(PreprocessResult fresh,
                         preprocessor.Run(stmt, translation));
+    // Only queries that ran belong to this run: a cache hit reports none.
+    stats.preprocess_queries = std::move(fresh.stats);
     cached_preprocess_ = std::move(fresh);
     cache_key_ = cache_key;
     preprocess = &*cached_preprocess_;
   }
   stats.total_groups = preprocess->total_groups;
   stats.min_group_count = preprocess->min_group_count;
-  stats.preprocess_queries = preprocess->stats;
   stats.preprocess_seconds = phase.ElapsedSeconds();
-  stats.trace.Span("preprocess", phase.ElapsedMicros());
-  stats.trace.Counter("preprocess.reused", stats.preprocessing_reused ? 1 : 0);
-  stats.trace.Counter("preprocess.total_groups", stats.total_groups);
 
   // --- core operator -----------------------------------------------------
   stage_span.emplace("core", "phase");
@@ -487,8 +458,6 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
                       stmt.min_confidence, stmt.body_card, stmt.head_card,
                       core_options, &stats.core));
   stats.core_seconds = phase.ElapsedSeconds();
-  stats.trace.Span("core", phase.ElapsedMicros());
-  stats.trace.Counter("core.rules_found", stats.core.rules_found);
 
   // Attribute shared-pool usage to this run's core phase by delta. Other
   // concurrent DataMiningSystem instances would pollute the delta; the
@@ -504,8 +473,6 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
         pool_after.per_worker_busy_micros[i] -
         pool_before.per_worker_busy_micros[i];
   }
-  stats.trace.Counter("pool.tasks_run", stats.pool.tasks_run);
-  stats.trace.Counter("pool.busy_micros", stats.pool.busy_micros);
 
   // --- postprocessor -----------------------------------------------------
   stage_span.emplace("postprocess", "phase");
@@ -517,14 +484,22 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
                         preprocess->program));
   stats.postprocess_queries = stats.output.stats;
   stats.postprocess_seconds = phase.ElapsedSeconds();
-  stats.trace.Span("postprocess", phase.ElapsedMicros());
 
   // Peak working-set estimate: the coded cache is alive for the whole core
   // phase; generated queries run one at a time, so only the widest query's
-  // operator buffers add on top.
-  stats.peak_bytes =
-      coded_bytes + std::max(MaxQueryOperatorBytes(stats.preprocess_queries),
-                             MaxQueryOperatorBytes(stats.postprocess_queries));
+  // operator buffers (summed est_bytes counters) add on top.
+  int64_t widest_query_bytes = 0;
+  for (const auto* queries :
+       {&stats.preprocess_queries, &stats.postprocess_queries}) {
+    for (const QueryStat& q : *queries) {
+      int64_t bytes = 0;
+      for (const sql::OperatorProfile& op : q.operators) {
+        bytes += op.Counter("est_bytes");
+      }
+      widest_query_bytes = std::max(widest_query_bytes, bytes);
+    }
+  }
+  stats.peak_bytes = coded_bytes + widest_query_bytes;
 
   executed_[ToLower(stmt.output_table)] =
       RenderInfo{stmt.select_support, stmt.select_confidence};

@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "common/trace.h"
 #include "minerule/parser.h"
 #include "minerule/translator.h"
 #include "mining/core_operator.h"
@@ -79,8 +78,8 @@ struct PoolUsage {
 };
 
 /// Per-run report: classification, phase timings (the Figure 3 process
-/// flow), per-query preprocessing stats (Figure 4), core counters, pool
-/// utilization and the phase/counter trace.
+/// flow), per-query preprocessing stats (Figure 4), core counters and pool
+/// utilization.
 struct MiningRunStats {
   Directives directives;
   int64_t total_groups = 0;
@@ -111,18 +110,19 @@ struct MiningRunStats {
            postprocess_seconds;
   }
 
+  /// The generated queries this run executed; preprocess_queries is empty
+  /// when the run reused a cached preprocessing.
   std::vector<QueryStat> preprocess_queries;
   std::vector<QueryStat> postprocess_queries;
   mining::CoreStats core;
 
   PoolUsage pool;
-  TraceRecorder trace;
 
   PostprocessResult output;
 
   /// Serializes the whole report (phases, per-query operator profiles,
-  /// per-pass mining counters, pool utilization, trace events) as one JSON
-  /// object — the machine-readable shape the benches emit. Schema is
+  /// per-pass mining counters, pool utilization) as one JSON object — the
+  /// machine-readable shape the benches emit. Schema is
   /// documented in DESIGN.md §8.
   std::string ToJson() const;
 };
@@ -196,6 +196,11 @@ class DataMiningSystem {
   /// the observability registry on both the success and the error path.
   Result<MiningRunStats> ExecuteStatementImpl(const MineRuleStatement& stmt,
                                               const MiningOptions& options);
+
+  /// Appends one mr_runs row for `result` (success or failure), feeds the
+  /// engine.* metrics and stamps the assigned run_id on a successful result.
+  void RecordRun(std::string statement, const MiningOptions& options,
+                 int64_t total_micros, Result<MiningRunStats>* result);
 
   Catalog* catalog_;
   sql::SqlEngine sql_engine_;

@@ -140,7 +140,7 @@ Result<PostprocessResult> Postprocessor::Run(
     ScopedSpan span("postprocess." + id, "query");
     Stopwatch watch;
     MR_ASSIGN_OR_RETURN(sql::QueryResult query_result, engine_->Execute(sql));
-    result.stats.push_back({id, sql, watch.ElapsedMicros(),
+    result.stats.push_back({id, "postprocess", sql, watch.ElapsedMicros(),
                             query_result.affected_rows,
                             std::move(query_result.profile)});
   }

@@ -25,8 +25,8 @@ Result<PreprocessResult> Preprocessor::RunProgram(PreprocessProgram program,
     Stopwatch watch;
     MR_ASSIGN_OR_RETURN(sql::QueryResult setup_result,
                         engine_->Execute(q.sql));
-    result.stats.push_back(
-        {q.id, q.sql, watch.ElapsedMicros(), 0, std::move(setup_result.profile)});
+    result.stats.push_back({q.id, "preprocess", q.sql, watch.ElapsedMicros(),
+                            0, std::move(setup_result.profile)});
   }
   for (const GeneratedQuery& q : program.queries) {
     ScopedSpan span("preprocess." + q.id, "query");
@@ -36,8 +36,8 @@ Result<PreprocessResult> Preprocessor::RunProgram(PreprocessProgram program,
     const int64_t rows = query_result.affected_rows > 0
                              ? query_result.affected_rows
                              : static_cast<int64_t>(query_result.rows.size());
-    result.stats.push_back({q.id, q.sql, watch.ElapsedMicros(), rows,
-                            std::move(query_result.profile)});
+    result.stats.push_back({q.id, "preprocess", q.sql, watch.ElapsedMicros(),
+                            rows, std::move(query_result.profile)});
 
     if (q.computes_group_total) {
       MR_ASSIGN_OR_RETURN(Value totg, engine_->GetHostVariable("totg"));

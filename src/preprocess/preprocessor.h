@@ -10,18 +10,9 @@
 
 namespace minerule::mr {
 
-/// Execution record of one generated query (feeds the Figure 4 benchmark).
-struct QueryStat {
-  std::string id;
-  std::string sql;
-  int64_t micros = 0;
-  int64_t rows = 0;  // rows inserted / returned
-
-  /// Per-operator plan statistics (row counts; timing only under EXPLAIN
-  /// ANALYZE). Empty when the engine's collect_operator_stats flag is off
-  /// or the statement had no plan (DDL).
-  std::vector<sql::OperatorProfile> operators;
-};
+/// The per-query record lives in the SQL layer next to OperatorProfile; the
+/// mr:: name stays for callers that spell it that way.
+using sql::QueryStat;
 
 /// The outcome of the preprocessing phase: the encoded tables are in the
 /// catalog; this struct carries the numbers and table names the core

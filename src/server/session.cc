@@ -9,7 +9,6 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "minerule/parser.h"
 #include "server/server.h"
 #include "sql/statement_registry.h"
 #include "sql/system_tables.h"
@@ -75,18 +74,6 @@ std::string CompressProfile(const std::vector<sql::OperatorProfile>& ops) {
     ++emitted;
   }
   return out;
-}
-
-/// Sums the est_bytes operator counters — the same working-set estimate
-/// MiningRunStats::peak_bytes uses for generated queries.
-int64_t ProfileEstBytes(const std::vector<sql::OperatorProfile>& ops) {
-  int64_t total = 0;
-  for (const sql::OperatorProfile& op : ops) {
-    for (const auto& [key, value] : op.counters) {
-      if (key == "est_bytes") total += value;
-    }
-  }
-  return total;
 }
 
 /// Compresses a MINE RULE run into its phase timings, the closest analogue
@@ -234,7 +221,11 @@ Result<SessionResult> Session::Execute(std::string_view statement) {
         slow.rows = result.query.rows.empty()
                         ? result.query.affected_rows
                         : static_cast<int64_t>(result.query.rows.size());
-        slow.peak_bytes = ProfileEstBytes(result.query.profile);
+        // The same working-set estimate MiningRunStats::peak_bytes uses
+        // for generated queries.
+        for (const sql::OperatorProfile& op : result.query.profile) {
+          slow.peak_bytes += op.Counter("est_bytes");
+        }
         slow.operators = CompressProfile(result.query.profile);
       }
     } else {
@@ -282,22 +273,10 @@ Result<SessionResult> Session::Execute(std::string_view statement) {
 Status Session::ExecuteClassified(std::string_view statement,
                                   StatementClass cls, SessionResult* result) {
   if (cls == StatementClass::kMineRule) {
-    // Parse here so even a statement the MINE RULE parser rejects gets its
-    // one mr_runs row (DataMiningSystem only records parsed statements).
-    Result<mr::MineRuleStatement> parsed = mr::ParseMineRule(statement);
-    if (!parsed.ok()) {
-      sql::RunRecord run;
-      run.statement = std::string(statement);
-      run.status = parsed.status().ToString();
-      run.threads = ResolveThreadCount(options_.num_threads);
-      run.session_id = id_;
-      run.queue_wait_micros = result->queue_wait_micros;
-      run.admission = result->queued ? "queued" : "immediate";
-      result->run_id = sql::GlobalObservability().RecordRun(std::move(run));
-      return parsed.status();
-    }
+    // The mining system appends this statement's mr_runs row itself, parse
+    // failures included.
     Result<mr::MiningRunStats> stats =
-        system_->ExecuteStatement(*parsed, options_);
+        system_->ExecuteMineRule(statement, options_);
     MR_RETURN_IF_ERROR(stats.status());
     result->run_id = stats->run_id;
     result->mining = std::move(*stats);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,6 +42,32 @@ struct OperatorProfile {
   /// without statistics (the default, estimate-free EXPLAIN output).
   double est_rows = -1;
   double est_cost = -1;
+
+  /// Value of the named extra counter (est_bytes, workers, ...); 0 when
+  /// the operator did not report it.
+  int64_t Counter(std::string_view key) const {
+    for (const auto& [name, value] : counters) {
+      if (name == key) return value;
+    }
+    return 0;
+  }
+};
+
+/// Execution record of one generated query of a MINE RULE run: a preprocess
+/// Q0..Q11, a postprocess decode step, or a DDL statement of either phase.
+/// The one per-query record: MiningRunStats, its JSON and the mr_runs
+/// history (mr_query_profile, mr_operator_stats) all hold these.
+struct QueryStat {
+  std::string id;     // "Q4", "POST2", ...
+  std::string phase;  // "preprocess" | "postprocess"
+  std::string sql;
+  int64_t micros = 0;
+  int64_t rows = 0;  // rows inserted / returned
+
+  /// Per-operator plan statistics (row counts; timing only under EXPLAIN
+  /// ANALYZE). Empty when the engine's collect_operator_stats flag is off
+  /// or the statement had no plan (DDL).
+  std::vector<OperatorProfile> operators;
 };
 
 /// Base class of the volcano-style (Open/Next) executor nodes. A node's

@@ -13,15 +13,6 @@ namespace minerule::sql {
 
 namespace {
 
-/// Looks up a named extra counter on an operator profile (est_bytes,
-/// workers, ...); 0 when the operator did not report it.
-int64_t CounterOr0(const OperatorProfile& op, const std::string& name) {
-  for (const auto& [key, value] : op.counters) {
-    if (key == name) return value;
-  }
-  return 0;
-}
-
 Schema RunsSchema() {
   return Schema({{"run_id", DataType::kInteger},
                  {"statement", DataType::kString},
@@ -117,7 +108,7 @@ Schema SlowQueriesSchema() {
                  {"status", DataType::kString}});
 }
 
-Schema TraceSpansSchema() {
+Schema SpansSchema() {
   return Schema({{"tid", DataType::kInteger},
                  {"thread", DataType::kString},
                  {"name", DataType::kString},
@@ -145,8 +136,8 @@ std::vector<Row> RunsRows(const std::vector<RunRecord>& runs) {
 std::vector<Row> QueryProfileRows(const std::vector<RunRecord>& runs) {
   std::vector<Row> rows;
   for (const RunRecord& run : runs) {
-    for (const QueryProfileRecord& q : run.queries) {
-      rows.push_back({Value::Integer(run.run_id), Value::String(q.query_id),
+    for (const QueryStat& q : run.queries) {
+      rows.push_back({Value::Integer(run.run_id), Value::String(q.id),
                       Value::String(q.phase), Value::String(q.sql),
                       Value::Integer(q.rows), Value::Integer(q.micros),
                       Value::Integer(static_cast<int64_t>(q.operators.size()))});
@@ -158,16 +149,16 @@ std::vector<Row> QueryProfileRows(const std::vector<RunRecord>& runs) {
 std::vector<Row> OperatorStatsRows(const std::vector<RunRecord>& runs) {
   std::vector<Row> rows;
   for (const RunRecord& run : runs) {
-    for (const QueryProfileRecord& q : run.queries) {
+    for (const QueryStat& q : run.queries) {
       for (const OperatorProfile& op : q.operators) {
-        rows.push_back({Value::Integer(run.run_id), Value::String(q.query_id),
+        rows.push_back({Value::Integer(run.run_id), Value::String(q.id),
                         Value::String(op.name), Value::String(op.detail),
                         Value::Integer(op.depth), Value::Integer(op.rows),
                         Value::Integer(op.micros),
-                        Value::Integer(CounterOr0(op, "est_bytes")),
-                        Value::Integer(CounterOr0(op, "workers")),
-                        Value::Integer(CounterOr0(op, "encoded_keys")),
-                        Value::Integer(CounterOr0(op, "generic_keys"))});
+                        Value::Integer(op.Counter("est_bytes")),
+                        Value::Integer(op.Counter("workers")),
+                        Value::Integer(op.Counter("encoded_keys")),
+                        Value::Integer(op.Counter("generic_keys"))});
       }
     }
   }
@@ -252,7 +243,7 @@ std::vector<Row> SlowQueriesRows() {
   return rows;
 }
 
-std::vector<Row> TraceSpansRows() {
+std::vector<Row> SpansRows() {
   SpanTracer& tracer = GlobalTracer();
   std::map<int, std::string> names;
   for (const auto& [tid, name] : tracer.Threads()) names[tid] = name;
@@ -273,29 +264,26 @@ std::vector<Row> TraceSpansRows() {
 
 int64_t ObservabilityRegistry::RecordRun(RunRecord run) {
   std::lock_guard<std::mutex> lock(mutex_);
-  run.run_id = static_cast<int64_t>(runs_.size()) + 1;
+  run.run_id = ++recorded_;
   runs_.push_back(std::move(run));
-  return runs_.back().run_id;
+  while (runs_.size() > kRunCapacity) runs_.pop_front();
+  return recorded_;
 }
 
 std::vector<RunRecord> ObservabilityRegistry::Runs() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return runs_;
+  return {runs_.begin(), runs_.end()};
 }
 
 int64_t ObservabilityRegistry::run_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int64_t>(runs_.size());
-}
-
-int64_t ObservabilityRegistry::LatestRunId() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return runs_.empty() ? 0 : runs_.back().run_id;
+  return recorded_;
 }
 
 void ObservabilityRegistry::ResetForTesting() {
   std::lock_guard<std::mutex> lock(mutex_);
   runs_.clear();
+  recorded_ = 0;
 }
 
 ObservabilityRegistry& GlobalObservability() {
@@ -323,7 +311,7 @@ Result<Schema> SystemTableSchema(const std::string& name) {
   if (lower == "mr_query_profile") return QueryProfileSchema();
   if (lower == "mr_operator_stats") return OperatorStatsSchema();
   if (lower == "mr_metrics") return MetricsSchema();
-  if (lower == "mr_trace_spans") return TraceSpansSchema();
+  if (lower == "mr_trace_spans") return SpansSchema();
   if (lower == "mr_table_stats") return TableStatsSchema();
   if (lower == "mr_sessions") return SessionsSchema();
   if (lower == "mr_active_statements") return ActiveStatementsSchema();
@@ -339,7 +327,7 @@ Result<std::pair<Schema, std::vector<Row>>> MaterializeSystemTable(
   if (lower == "mr_metrics") {
     rows = MetricsRows();
   } else if (lower == "mr_trace_spans") {
-    rows = TraceSpansRows();
+    rows = SpansRows();
   } else if (lower == "mr_table_stats") {
     rows = TableStatsRows(stats);
   } else if (lower == "mr_sessions") {

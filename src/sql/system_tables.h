@@ -2,6 +2,7 @@
 #define MINERULE_SQL_SYSTEM_TABLES_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -28,18 +29,8 @@ namespace minerule::sql {
 // system table, so existing workloads can never break.
 // ---------------------------------------------------------------------------
 
-/// Profile of one generated query inside one run (a preprocess Q0..Q11,
-/// a postprocess decode step, or a DDL statement of either phase).
-struct QueryProfileRecord {
-  std::string query_id;  // "Q4", "POST2", ...
-  std::string phase;     // "preprocess" | "postprocess"
-  std::string sql;
-  int64_t rows = 0;
-  int64_t micros = 0;
-  std::vector<OperatorProfile> operators;
-};
-
-/// One MINE RULE execution recorded by DataMiningSystem.
+/// One MINE RULE execution recorded by DataMiningSystem, or one SQL
+/// statement recorded by a server session.
 struct RunRecord {
   int64_t run_id = 0;  // assigned by ObservabilityRegistry::RecordRun
   std::string statement;
@@ -54,13 +45,17 @@ struct RunRecord {
   int64_t session_id = 0;
   int64_t queue_wait_micros = 0;
   std::string admission;  // "", "immediate" or "queued"
-  std::vector<QueryProfileRecord> queries;
+  std::vector<QueryStat> queries;  // preprocess, then postprocess
 };
 
 /// Process-wide run history behind mr_runs / mr_query_profile /
-/// mr_operator_stats. Append-only; leaked like the shared thread pool.
+/// mr_operator_stats: a ring of the newest kRunCapacity runs. Leaked like
+/// the shared thread pool.
 class ObservabilityRegistry {
  public:
+  /// Runs kept; older runs are evicted in FIFO order.
+  static constexpr size_t kRunCapacity = 1024;
+
   ObservabilityRegistry() = default;
   ObservabilityRegistry(const ObservabilityRegistry&) = delete;
   ObservabilityRegistry& operator=(const ObservabilityRegistry&) = delete;
@@ -68,17 +63,18 @@ class ObservabilityRegistry {
   /// Appends the run and returns its assigned run_id (1-based, dense).
   int64_t RecordRun(RunRecord run);
 
+  /// The runs still in the ring, oldest first.
   std::vector<RunRecord> Runs() const;
+  /// Runs ever recorded, including ones evicted from the ring.
   int64_t run_count() const;
-  /// run_id of the most recent run, 0 when none.
-  int64_t LatestRunId() const;
 
   /// Drops the history. Tests only.
   void ResetForTesting();
 
  private:
   mutable std::mutex mutex_;
-  std::vector<RunRecord> runs_;
+  std::deque<RunRecord> runs_;
+  int64_t recorded_ = 0;
 };
 
 ObservabilityRegistry& GlobalObservability();

@@ -1,6 +1,6 @@
 // The observability layer end to end: EXPLAIN / EXPLAIN ANALYZE plan
 // rendering, per-operator statistics threaded into MiningRunStats, per-pass
-// mining counters, and the JSON trace export.
+// mining counters, the phase spans and the run-stats JSON export.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/trace.h"
 #include "datagen/retail_gen.h"
 #include "engine/data_mining_system.h"
 
@@ -268,7 +269,11 @@ TEST_F(MiningObservabilityTest, OperatorRowCountsMatchQueryTotals) {
 
 TEST_F(MiningObservabilityTest, PerPassCountersArePopulated) {
   SetUpRetail();
+  SpanTracer& tracer = GlobalTracer();
+  tracer.Clear();
+  tracer.Enable(true);
   mr::MiningRunStats stats = MustMine(&system_, kSimpleStatement);
+  tracer.Enable(false);
   EXPECT_FALSE(stats.core.used_general);
   // The default algorithm is adaptive: the stats always report the
   // resolved pool member, never "auto".
@@ -283,11 +288,12 @@ TEST_F(MiningObservabilityTest, PerPassCountersArePopulated) {
             stats.core.simple.large_per_level[0]);
   EXPECT_GT(stats.core.rules_found, 0);
 
-  // Trace spans cover all four phases.
+  // The tracer's phase spans cover all four phases, in pipeline order.
   std::vector<std::string> spans;
-  for (const TraceEvent& event : stats.trace.events()) {
-    if (event.is_span) spans.push_back(event.name);
+  for (const SpanEvent& event : tracer.Snapshot()) {
+    if (std::string(event.category) == "phase") spans.push_back(event.name);
   }
+  tracer.Clear();
   EXPECT_EQ(spans, (std::vector<std::string>{"translate", "preprocess",
                                              "core", "postprocess"}));
 
@@ -305,9 +311,11 @@ TEST_F(MiningObservabilityTest, ToJsonRoundTripsThroughValidator) {
   EXPECT_TRUE(valid.ok()) << valid << "\n" << json;
   for (const char* key :
        {"\"directives\"", "\"phases\"", "\"preprocess_queries\"",
-        "\"core\"", "\"thread_pool\"", "\"trace\""}) {
+        "\"postprocess_queries\"", "\"core\"", "\"thread_pool\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+  // Phase spans belong to the tracer alone; the JSON carries no copy.
+  EXPECT_EQ(json.find("\"trace\""), std::string::npos);
 }
 
 TEST_F(MiningObservabilityTest, DhpCountersSurfaceThroughRunStats) {

@@ -212,6 +212,80 @@ TEST_F(SystemTablesTest, FailedRunIsRecorded) {
   EXPECT_EQ(sql::GlobalObservability().run_count(), 1);
 }
 
+// A statement the MINE RULE parser rejects still appends its one mr_runs
+// row, with the raw text and the parse error as its status.
+TEST_F(SystemTablesTest, ParseFailureIsRecorded) {
+  auto stats = system_.ExecuteMineRule("MINE RULE nope AS SELECT");
+  ASSERT_FALSE(stats.ok());
+  sql::QueryResult runs = MustSql("SELECT statement, status FROM mr_runs");
+  ASSERT_EQ(runs.rows.size(), 1u);
+  EXPECT_EQ(runs.rows[0][0].AsString(), "MINE RULE nope AS SELECT");
+  EXPECT_NE(runs.rows[0][1].AsString(), "ok");
+  EXPECT_EQ(runs.rows[0][1].AsString(), stats.status().ToString());
+  EXPECT_EQ(sql::GlobalObservability().run_count(), 1);
+}
+
+// A run served from the preprocessing cache reports only the queries that
+// ran: its postprocess queries, none of the cached run's Q0..Q11.
+TEST_F(SystemTablesTest, ReusedRunReportsNoPreprocessQueries) {
+  SetUpRetail();
+  mr::MiningOptions options;
+  options.reuse_preprocessing = true;
+  mr::MiningRunStats fresh = MustMine(kSimpleStatement, options);
+  mr::MiningRunStats reused = MustMine(kSimpleStatement, options);
+  ASSERT_FALSE(fresh.preprocessing_reused);
+  ASSERT_TRUE(reused.preprocessing_reused);
+  EXPECT_FALSE(fresh.preprocess_queries.empty());
+  EXPECT_TRUE(reused.preprocess_queries.empty());
+  EXPECT_FALSE(reused.postprocess_queries.empty());
+
+  auto count = [&](const std::string& sql) {
+    return MustSql(sql).rows[0][0].AsInteger();
+  };
+  const std::string reused_id = std::to_string(reused.run_id);
+  EXPECT_GT(count("SELECT COUNT(*) FROM mr_query_profile WHERE run_id = " +
+                  std::to_string(fresh.run_id) +
+                  " AND phase = 'preprocess'"),
+            0);
+  EXPECT_EQ(count("SELECT COUNT(*) FROM mr_query_profile WHERE run_id = " +
+                  reused_id + " AND phase = 'preprocess'"),
+            0);
+  EXPECT_EQ(count("SELECT COUNT(*) FROM mr_query_profile WHERE run_id = " +
+                  reused_id),
+            static_cast<int64_t>(reused.postprocess_queries.size()));
+  int64_t postprocess_operators = 0;
+  for (const mr::QueryStat& q : reused.postprocess_queries) {
+    postprocess_operators += static_cast<int64_t>(q.operators.size());
+  }
+  EXPECT_EQ(count("SELECT COUNT(*) FROM mr_operator_stats WHERE run_id = " +
+                  reused_id),
+            postprocess_operators);
+}
+
+// The run history is a ring of the newest kRunCapacity runs; run ids stay
+// dense and run_count() counts every run ever recorded.
+TEST_F(SystemTablesTest, RunHistoryKeepsNewestRuns) {
+  constexpr int64_t kCapacity = sql::ObservabilityRegistry::kRunCapacity;
+  constexpr int64_t kExtra = 5;
+  for (int64_t i = 1; i <= kCapacity + kExtra; ++i) {
+    sql::RunRecord run;
+    run.statement = "run " + std::to_string(i);
+    EXPECT_EQ(sql::GlobalObservability().RecordRun(std::move(run)), i);
+  }
+  EXPECT_EQ(sql::GlobalObservability().run_count(), kCapacity + kExtra);
+  sql::QueryResult runs =
+      MustSql("SELECT COUNT(*), MIN(run_id), MAX(run_id) FROM mr_runs");
+  EXPECT_EQ(runs.rows[0][0].AsInteger(), kCapacity);
+  EXPECT_EQ(runs.rows[0][1].AsInteger(), kExtra + 1);
+  EXPECT_EQ(runs.rows[0][2].AsInteger(), kCapacity + kExtra);
+  sql::QueryResult oldest = MustSql(
+      "SELECT statement FROM mr_runs WHERE run_id = " +
+      std::to_string(kExtra + 1));
+  ASSERT_EQ(oldest.rows.size(), 1u);
+  EXPECT_EQ(oldest.rows[0][0].AsString(),
+            "run " + std::to_string(kExtra + 1));
+}
+
 // A user table with a system-table name shadows the virtual table, so
 // existing workloads can never break.
 TEST_F(SystemTablesTest, UserTableShadowsSystemTable) {
