@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "sql/parser.h"
+#include "sql/planner.h"
 #include "sql/system_tables.h"
 
 namespace minerule::mr {
@@ -24,17 +25,15 @@ Result<int64_t> IntAt(const Row& row, size_t index) {
   return row[index].AsInteger();
 }
 
-/// Appends "name@epoch" entries for every base table reachable from
-/// `relation`, expanding views (and their subqueries) up to `depth` levels.
-/// Unresolvable names contribute epoch 0, which still changes the key when
-/// the object later appears.
-void AppendSourceEpochs(const Catalog& catalog, const std::string& relation,
-                        int depth, std::string* key) {
+/// Visits `relation` and, for a view, everything its SELECT reads, up to
+/// `depth` levels of views.
+void VisitSourceRelation(const Catalog& catalog, const std::string& relation,
+                         int depth, const SourceVisitor& visit) {
   if (depth <= 0) return;
   if (catalog.HasView(relation)) {
     auto view = catalog.GetView(relation);
     if (!view.ok()) return;
-    *key += "view:" + ToLower(relation) + ",";
+    visit(relation, &*view, nullptr);
     auto select = sql::ParseSelectSql(view->select_sql);
     if (!select.ok()) return;
     // Walk the view's FROM list, including nested subqueries.
@@ -46,17 +45,43 @@ void AppendSourceEpochs(const Catalog& catalog, const std::string& relation,
         if (ref.kind == sql::TableRef::Kind::kSubquery) {
           if (ref.subquery) pending.push_back(ref.subquery.get());
         } else {
-          AppendSourceEpochs(catalog, ref.name, depth - 1, key);
+          VisitSourceRelation(catalog, ref.name, depth - 1, visit);
         }
       }
     }
     return;
   }
-  *key += ToLower(relation) + "@" +
-          std::to_string(catalog.TableVersion(relation)) + ",";
+  Result<std::shared_ptr<Table>> table = catalog.GetTable(relation);
+  visit(relation, nullptr, table.ok() ? *table : nullptr);
 }
 
 }  // namespace
+
+void VisitSourceRelations(const Catalog& catalog,
+                          const std::vector<sql::TableRef>& from,
+                          const SourceVisitor& visit) {
+  for (const sql::TableRef& ref : from) {
+    VisitSourceRelation(catalog, ref.name, sql::Planner::kMaxViewDepth + 1,
+                        visit);
+  }
+}
+
+std::string SourceFingerprint(const Catalog& catalog,
+                              const std::vector<sql::TableRef>& from) {
+  std::string fingerprint;
+  VisitSourceRelations(
+      catalog, from,
+      [&](const std::string& name, const ViewDef* view,
+          const std::shared_ptr<Table>& table) {
+        if (view != nullptr) {
+          fingerprint += "view:" + ToLower(name) + "=" + view->select_sql + ",";
+        } else {
+          fingerprint += ToLower(name) + "@" +
+                         std::to_string(table ? table->version() : 0) + ",";
+        }
+      });
+  return fingerprint;
+}
 
 std::string DataMiningSystem::PreprocessCacheKey(
     const MineRuleStatement& stmt) const {
@@ -82,10 +107,7 @@ std::string DataMiningSystem::PreprocessCacheKey(
   // Source data epochs: any DML on (or drop/recreate of) a source table
   // changes its version and thus the key, so a stale cache entry can never
   // be served. Views are expanded to the base tables they read.
-  key += ";V:";
-  for (const sql::TableRef& ref : stmt.from) {
-    AppendSourceEpochs(*catalog_, ref.name, /*depth=*/8, &key);
-  }
+  key += ";V:" + SourceFingerprint(*catalog_, stmt.from);
   return key;
 }
 
@@ -307,9 +329,13 @@ Result<MiningRunStats> DataMiningSystem::ExecuteMineRule(
 }
 
 Result<MiningRunStats> DataMiningSystem::ExecuteStatement(
-    const MineRuleStatement& stmt, const MiningOptions& options) {
+    const MineRuleStatement& stmt, const MiningOptions& options,
+    const InstallHook& install) {
   Stopwatch total;
   Result<MiningRunStats> result = ExecuteStatementImpl(stmt, options);
+  if (install) {
+    install(&result, [&] { return ExecuteStatementImpl(stmt, options); });
+  }
   RecordRun(stmt.ToString(), options, total.ElapsedMicros(), &result);
   return result;
 }
@@ -459,9 +485,9 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
                       core_options, &stats.core));
   stats.core_seconds = phase.ElapsedSeconds();
 
-  // Attribute shared-pool usage to this run's core phase by delta. Other
-  // concurrent DataMiningSystem instances would pollute the delta; the
-  // usual single-system-per-thread setup makes it exact.
+  // Attribute shared-pool usage to this run's core phase by delta. Anything
+  // else on the pool meanwhile counts too: in a server, the statements
+  // other sessions run beside this unlatched core phase (PoolUsage).
   const ThreadPoolStats pool_after = SharedThreadPool().Stats();
   stats.pool.workers = SharedThreadPool().size();
   stats.pool.tasks_run = pool_after.tasks_run - pool_before.tasks_run;
@@ -481,8 +507,7 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
   MR_ASSIGN_OR_RETURN(
       stats.output,
       postprocessor.Run(stmt, translation, rules, preprocess->total_groups,
-                        preprocess->program));
-  stats.postprocess_queries = stats.output.stats;
+                        preprocess->program, &stats.postprocess_queries));
   stats.postprocess_seconds = phase.ElapsedSeconds();
 
   // Peak working-set estimate: the coded cache is alive for the whole core
@@ -509,9 +534,7 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
     for (const GeneratedQuery& q : preprocess->program.drops) {
       MR_RETURN_IF_ERROR(sql_engine_.Execute(q.sql).status());
     }
-    // The postprocessor's fixed-name normalized output is scratch too: it
-    // must not outlive the run, or concurrent sessions' final catalog
-    // state would depend on which run finished last (DESIGN.md §15).
+    // The postprocessor's fixed-name normalized output is scratch too.
     catalog_->DropTableIfExists("OutputBodies");
     catalog_->DropTableIfExists("OutputHeads");
     InvalidateCache();

@@ -2,6 +2,7 @@
 #define MINERULE_ENGINE_DATA_MINING_SYSTEM_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -63,13 +64,17 @@ struct MiningOptions {
 
   /// Keep the encoded tables in the catalog after the run (useful for
   /// inspection and for preprocessing reuse); they are overwritten by the
-  /// next run regardless.
+  /// next run regardless. False also drops the postprocessor's
+  /// OutputBodies/OutputHeads, so a run leaves only its three output
+  /// tables behind.
   bool keep_encoded_tables = true;
 };
 
 /// Shared-thread-pool utilization attributed to one run (snapshot delta
 /// around the core phase). Pool-side only: ParallelFor chunks executed by
-/// the calling thread are not counted.
+/// the calling thread are not counted. The delta is process-wide: in a
+/// server, the reads and writes other sessions run during the core phase
+/// (a MINE RULE holds no catalog latch there) count as well.
 struct PoolUsage {
   int workers = 0;
   int64_t tasks_run = 0;
@@ -127,6 +132,26 @@ struct MiningRunStats {
   std::string ToJson() const;
 };
 
+/// Visits every relation a MINE RULE's FROM list reads: each view, then
+/// the views and tables its SELECT reads (subqueries included, as deep as
+/// the planner expands views), and each base table. `view` is set for a
+/// view; otherwise `table` is the catalog's table, or null when the name
+/// does not resolve. The preprocess cache key and the server's source
+/// snapshot (DESIGN.md §15) walk sources through this one function.
+using SourceVisitor = std::function<void(
+    const std::string& name, const ViewDef* view,
+    const std::shared_ptr<Table>& table)>;
+void VisitSourceRelations(const Catalog& catalog,
+                          const std::vector<sql::TableRef>& from,
+                          const SourceVisitor& visit);
+
+/// The state of every source relation as one string: "view:<name>=<sql>,"
+/// per view and "<name>@<version>," per base table (version 0 when absent).
+/// Versions are unique per mutation, so equal fingerprints mean equal
+/// source data.
+std::string SourceFingerprint(const Catalog& catalog,
+                              const std::vector<sql::TableRef>& from);
+
 /// The kernel of the tightly-coupled architecture (Figure 3a): translator,
 /// preprocessor, core operator and postprocessor around one SQL server.
 /// Everything flows through the catalog: sources in, encoded tables in the
@@ -150,9 +175,19 @@ class DataMiningSystem {
   Result<MiningRunStats> ExecuteMineRule(std::string_view text,
                                          const MiningOptions& options = {});
 
+  /// Runs between the pipeline and its mr_runs row, on success and failure
+  /// alike. The server session installs the output tables here
+  /// (DESIGN.md §15); when its snapshot went stale it replaces `*result`
+  /// with `rerun()`, which executes the pipeline again. Either way the
+  /// statement records one row, timed over both.
+  using InstallHook = std::function<void(
+      Result<MiningRunStats>* result,
+      const std::function<Result<MiningRunStats>()>& rerun)>;
+
   /// Executes an already-parsed statement.
   Result<MiningRunStats> ExecuteStatement(const MineRuleStatement& stmt,
-                                          const MiningOptions& options = {});
+                                          const MiningOptions& options = {},
+                                          const InstallHook& install = {});
 
   /// Plain SQL passthrough to the embedded server (loading data, querying
   /// rule tables, joining rules with source data — the tight coupling).
@@ -184,9 +219,8 @@ class DataMiningSystem {
 
  private:
   /// Cache key: the statement with everything that does not influence the
-  /// generated preprocessing program masked out, plus the modification
-  /// epochs of every source table (resolved through views) so that DML on a
-  /// source invalidates the cache automatically.
+  /// generated preprocessing program masked out, plus the SourceFingerprint
+  /// so that DML on a source invalidates the cache automatically.
   std::string PreprocessCacheKey(const MineRuleStatement& stmt) const;
 
   Result<mining::CodedSourceData> FetchEncodedData(

@@ -381,13 +381,19 @@ std::string DumpTable(Catalog* catalog, const std::string& name) {
   return out;
 }
 
+/// Runs `statement` on a fresh catalog holding the workload, after
+/// executing `setup_sql` (when non-empty) on it.
 Result<PipelineRun> RunPipeline(const WorkloadSpec& spec,
                                 const std::string& statement,
-                                const mr::MiningOptions& options) {
+                                const mr::MiningOptions& options,
+                                const std::string& setup_sql = "") {
   PipelineRun run;
   run.catalog = std::make_unique<Catalog>();
   MR_RETURN_IF_ERROR(BuildWorkload(run.catalog.get(), spec).status());
   mr::DataMiningSystem system(run.catalog.get());
+  if (!setup_sql.empty()) {
+    MR_RETURN_IF_ERROR(system.ExecuteSql(setup_sql).status());
+  }
   // Trace the run so the oracle can check the observability invariants:
   // exactly one mr_runs row per execution, and a phase-span structure that
   // does not depend on the thread count.
@@ -424,6 +430,26 @@ Result<PipelineRun> RunPipeline(const WorkloadSpec& spec,
                                            stmt.select_support,
                                            stmt.select_confidence));
   return run;
+}
+
+/// One INSERT that changes `table`'s data: a new row mixing the first and
+/// the last row column by column (so one group gains another group's
+/// values), or all NULLs for an empty table.
+Result<std::string> RacingInsert(const Catalog& catalog,
+                                 const std::string& table_name) {
+  MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
+                      catalog.GetTable(table_name));
+  std::string values;
+  for (size_t c = 0; c < table->schema().num_columns(); ++c) {
+    if (c > 0) values += ", ";
+    if (table->num_rows() == 0) {
+      values += "NULL";
+      continue;
+    }
+    const Row& donor = c % 2 == 0 ? table->rows().back() : table->row(0);
+    values += donor[c].ToSqlLiteral();
+  }
+  return "INSERT INTO " + table_name + " VALUES (" + values + ")";
 }
 
 // ---------------------------------------------------------------------------
@@ -897,17 +923,27 @@ Result<CaseOutcome> RunCase(const WorkloadSpec& spec,
 
   // Route: the same case replayed through K server sessions racing over
   // one shared catalog (DESIGN.md §15). Every session snapshot-reads the
-  // source, then runs the same MINE RULE; the catalog latch serializes the
-  // write statements, so whichever session finishes last must leave the
-  // output tables byte-identical to the single-session baseline — and each
+  // source, then runs the same MINE RULE; session 1 then INSERTs one row
+  // into the source, racing the others' runs (typically the next one in
+  // the mining lane, whose install then fails validation and re-mines).
+  // A MINE RULE mines on a snapshot and installs at its epoch_end, so each
+  // session must mine exactly what a single-session run mines on the data
+  // of that epoch: the pre-insert baseline when it installed before the
+  // INSERT committed, the post-insert reference otherwise. The last
+  // install's output must be byte-identical to its reference, and each
   // session statement must append exactly one mr_runs row.
   if (options.run_concurrent && options.concurrent_sessions > 1) {
     const int k = options.concurrent_sessions;
     const std::string label = "concurrent@" + std::to_string(k);
     Catalog shared_catalog;
     MR_RETURN_IF_ERROR(BuildWorkload(&shared_catalog, spec).status());
-    server::Server server(&shared_catalog);
     const DatasetProfile profile = ProfileFor(spec);
+    MR_ASSIGN_OR_RETURN(const std::string insert_sql,
+                        RacingInsert(shared_catalog, profile.table));
+    MR_ASSIGN_OR_RETURN(
+        PipelineRun post_insert,
+        RunPipeline(spec, statement, baseline_options, insert_sql));
+    server::Server server(&shared_catalog);
     const int64_t runs_before = sql::GlobalObservability().run_count();
 
     // Sessions live in this scope (not inside the racer lambdas) so their
@@ -916,8 +952,11 @@ Result<CaseOutcome> RunCase(const WorkloadSpec& spec,
     sessions.reserve(static_cast<size_t>(k));
     for (int s = 0; s < k; ++s) sessions.push_back(server.Connect());
     std::vector<std::string> errors(static_cast<size_t>(k));
+    std::vector<std::string> mine_errors(static_cast<size_t>(k));
+    std::vector<uint64_t> mine_epochs(static_cast<size_t>(k), 0);
     std::vector<int64_t> executed(static_cast<size_t>(k), 0);
     std::vector<mr::MiningRunStats> session_stats(static_cast<size_t>(k));
+    uint64_t insert_epoch = 0;
     std::vector<std::thread> racers;
     for (int s = 0; s < k; ++s) {
       racers.emplace_back([&, s] {
@@ -936,11 +975,22 @@ Result<CaseOutcome> RunCase(const WorkloadSpec& spec,
         }
         ++executed[s];
         auto mined = session->Execute(statement);
-        if (!mined.ok()) {
-          errors[s] = "mine: " + mined.status().ToString();
-          return;
+        if (mined.ok()) {
+          mine_epochs[s] = mined->epoch_end;
+          session_stats[s] = std::move(mined->mining);
+        } else {
+          mine_errors[s] = mined.status().ToString();
+          mine_epochs[s] = session->last_epoch();
         }
-        session_stats[s] = std::move(mined->mining);
+        if (s == 0) {
+          ++executed[s];
+          auto inserted = session->Execute(insert_sql);
+          if (!inserted.ok()) {
+            errors[s] = "insert: " + inserted.status().ToString();
+            return;
+          }
+          insert_epoch = inserted->epoch_end;
+        }
       });
     }
     for (std::thread& t : racers) t.join();
@@ -979,48 +1029,75 @@ Result<CaseOutcome> RunCase(const WorkloadSpec& spec,
     }
 
     bool all_ok = true;
+    int last_install = -1;
     for (int s = 0; s < k; ++s) {
+      const std::string who = label + " session " + std::to_string(s + 1);
       if (!errors[s].empty()) {
         all_ok = false;
         fail("concurrent-agreement",
-             label + " session " + std::to_string(s + 1) +
-                 " failed where the single-session baseline succeeded: " +
+             who + " failed where the single-session baseline succeeded: " +
                  errors[s]);
-      } else if (session_stats[s].output.num_rules != baseline.num_rules ||
-                 session_stats[s].total_groups != baseline.total_groups) {
+        continue;
+      }
+      const bool after_insert = mine_epochs[s] >= insert_epoch;
+      const PipelineRun& reference = after_insert ? post_insert : baseline;
+      const std::string data = after_insert ? "post-insert" : "pre-insert";
+      if (!mine_errors[s].empty()) {
+        if (reference.ok) {
+          all_ok = false;
+          fail("concurrent-agreement",
+               who + " failed where the single-session " + data +
+                   " run succeeded: " + mine_errors[s]);
+        }
+        continue;
+      }
+      if (!reference.ok) {
         all_ok = false;
         fail("concurrent-agreement",
-             label + " session " + std::to_string(s + 1) + " mined " +
+             who + " succeeded where the single-session " + data +
+                 " run failed: " + reference.error);
+      } else if (session_stats[s].output.num_rules != reference.num_rules ||
+                 session_stats[s].total_groups != reference.total_groups) {
+        all_ok = false;
+        fail("concurrent-agreement",
+             who + " mined " +
                  std::to_string(session_stats[s].output.num_rules) +
                  " rules over " +
                  std::to_string(session_stats[s].total_groups) +
-                 " groups; baseline has " +
-                 std::to_string(baseline.num_rules) + " over " +
-                 std::to_string(baseline.total_groups));
+                 " groups; the " + data + " run has " +
+                 std::to_string(reference.num_rules) + " over " +
+                 std::to_string(reference.total_groups));
+      }
+      if (last_install < 0 || mine_epochs[s] > mine_epochs[last_install]) {
+        last_install = s;
       }
     }
     if (all_ok) {
-      // 2 statements per session (the snapshot read and the MINE RULE),
-      // one mr_runs row each.
+      // 2 statements per session (the snapshot read and the MINE RULE)
+      // plus session 1's INSERT, one mr_runs row each; a re-mine after a
+      // conflict adds none.
       const int64_t recorded =
           sql::GlobalObservability().run_count() - runs_before;
-      if (recorded != 2 * k) {
+      if (recorded != 2 * k + 1) {
         fail("concurrent-run-record",
              label + " appended " + std::to_string(recorded) +
-                 " mr_runs rows, expected " + std::to_string(2 * k));
+                 " mr_runs rows, expected " + std::to_string(2 * k + 1));
       }
-      std::string dump = "directives=" +
-                         session_stats[0].directives.ToString() + " totg=" +
-                         std::to_string(session_stats[0].total_groups) + "\n";
-      dump += DumpTable(&shared_catalog, session_stats[0].output.rules_table);
-      dump +=
-          DumpTable(&shared_catalog, session_stats[0].output.bodies_table);
-      dump += DumpTable(&shared_catalog, session_stats[0].output.heads_table);
-      if (dump != baseline.dump) {
+    }
+    if (all_ok && last_install >= 0) {
+      const mr::MiningRunStats& last = session_stats[last_install];
+      const PipelineRun& reference =
+          mine_epochs[last_install] >= insert_epoch ? post_insert : baseline;
+      std::string dump = "directives=" + last.directives.ToString() +
+                         " totg=" + std::to_string(last.total_groups) + "\n";
+      dump += DumpTable(&shared_catalog, last.output.rules_table);
+      dump += DumpTable(&shared_catalog, last.output.bodies_table);
+      dump += DumpTable(&shared_catalog, last.output.heads_table);
+      if (dump != reference.dump) {
         fail("concurrent-agreement",
-             label + " final output differs from the single-session "
-                     "baseline\n--- baseline ---\n" +
-                 Truncate(baseline.dump) + "\n--- concurrent ---\n" +
+             label + " final output differs from the single-session run "
+                     "on the data of its install\n--- reference ---\n" +
+                 Truncate(reference.dump) + "\n--- concurrent ---\n" +
                  Truncate(dump));
       }
     }

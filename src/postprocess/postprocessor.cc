@@ -38,7 +38,7 @@ std::string AttrList(const std::vector<std::string>& attrs) {
 Result<PostprocessResult> Postprocessor::Run(
     const MineRuleStatement& stmt, const Translation& translation,
     const std::vector<mining::MinedRule>& rules, int64_t total_groups,
-    const PreprocessProgram& program) {
+    const PreprocessProgram& program, std::vector<QueryStat>* stats) {
   PostprocessResult result;
   result.rules_table = stmt.output_table;
   result.bodies_table = stmt.output_table + "_Bodies";
@@ -140,9 +140,11 @@ Result<PostprocessResult> Postprocessor::Run(
     ScopedSpan span("postprocess." + id, "query");
     Stopwatch watch;
     MR_ASSIGN_OR_RETURN(sql::QueryResult query_result, engine_->Execute(sql));
-    result.stats.push_back({id, "postprocess", sql, watch.ElapsedMicros(),
-                            query_result.affected_rows,
-                            std::move(query_result.profile)});
+    if (stats != nullptr) {
+      stats->push_back({id, "postprocess", sql, watch.ElapsedMicros(),
+                        query_result.affected_rows,
+                        std::move(query_result.profile)});
+    }
   }
   return result;
 }

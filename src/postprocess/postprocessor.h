@@ -18,7 +18,6 @@ struct PostprocessResult {
   std::string bodies_table;  // <out>_Bodies(BodyId, <body schema>)
   std::string heads_table;   // <out>_Heads(HeadId, <head schema>)
   int64_t num_rules = 0;
-  std::vector<QueryStat> stats;  // the decoding queries
 };
 
 /// The postprocessor of §4.4. The encoded rules arrive as the core
@@ -30,11 +29,14 @@ class Postprocessor {
  public:
   explicit Postprocessor(sql::SqlEngine* engine) : engine_(engine) {}
 
+  /// Materializes and decodes `rules`; appends one QueryStat per decoding
+  /// query (POST0..POST3) to `stats` when it is non-null.
   Result<PostprocessResult> Run(const MineRuleStatement& stmt,
                                 const Translation& translation,
                                 const std::vector<mining::MinedRule>& rules,
                                 int64_t total_groups,
-                                const PreprocessProgram& program);
+                                const PreprocessProgram& program,
+                                std::vector<QueryStat>* stats = nullptr);
 
  private:
   sql::SqlEngine* engine_;

@@ -42,9 +42,26 @@ Status Table::Append(Row row) {
         row[i], CoerceValueToColumn(row[i], schema_.column(i).type,
                                     schema_.column(i).name));
   }
-  rows_.push_back(std::move(row));
+  Detach();
+  rows_->push_back(std::move(row));
   version_ = NextTableVersion();
   return Status::OK();
+}
+
+void Table::Clear() {
+  // Fresh storage detaches without copying rows that are about to go.
+  rows_ = std::make_shared<std::vector<Row>>();
+  columnar_cache_ = MakeColumnarCache();
+  version_ = NextTableVersion();
+  shape_version_ = version_;
+}
+
+void Table::CopyRows() {
+  // The copies keep the old storage and the image built from it; the
+  // columnar cache is keyed by version only, so a shared one would serve
+  // (and rebuild) images across the diverging copies.
+  rows_ = std::make_shared<std::vector<Row>>(*rows_);
+  columnar_cache_ = MakeColumnarCache();
 }
 
 std::string Table::ToDisplayString(size_t max_rows) const {
@@ -53,13 +70,14 @@ std::string Table::ToDisplayString(size_t max_rows) const {
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
     widths[c] = schema_.column(c).name.size();
   }
-  const size_t shown = std::min(max_rows, rows_.size());
+  const std::vector<Row>& rows = *rows_;
+  const size_t shown = std::min(max_rows, rows.size());
   cells.reserve(shown);
   for (size_t r = 0; r < shown; ++r) {
     std::vector<std::string> line;
     line.reserve(schema_.num_columns());
     for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      line.push_back(rows_[r][c].ToString());
+      line.push_back(rows[r][c].ToString());
       widths[c] = std::max(widths[c], line.back().size());
     }
     cells.push_back(std::move(line));
@@ -87,8 +105,8 @@ std::string Table::ToDisplayString(size_t max_rows) const {
     os << '\n';
   }
   rule();
-  if (shown < rows_.size()) {
-    os << "(" << rows_.size() - shown << " more rows)\n";
+  if (shown < rows.size()) {
+    os << "(" << rows.size() - shown << " more rows)\n";
   }
   return os.str();
 }

@@ -1,6 +1,7 @@
 #include "server/server.h"
 
 #include "common/metrics.h"
+#include "common/stopwatch.h"
 #include "server/session.h"
 
 namespace minerule::server {
@@ -14,13 +15,22 @@ Gauge* ActiveSessionsGauge() {
 
 }  // namespace
 
+SessionManager::MiningLane::MiningLane(SessionManager* manager)
+    : lock_(manager->mining_lane_, std::try_to_lock) {
+  if (lock_.owns_lock()) return;
+  waited_ = true;
+  Stopwatch watch;
+  lock_.lock();
+  wait_micros_ = watch.ElapsedMicros();
+}
+
 Server::Server(Catalog* catalog, ServerOptions options)
     : catalog_(catalog),
       options_(std::move(options)),
       scheduler_(options_.max_concurrent) {
   // Server sessions drop the encoded scratch tables after every MINE RULE
-  // run: with many sessions sharing one catalog, per-run scratch state
-  // must not leak into what other sessions (or the serial oracle) see.
+  // run. They are private to the session's scratch catalog either way;
+  // dropping them keeps an idle session's memory at zero.
   options_.session_defaults.keep_encoded_tables = false;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 
@@ -23,9 +24,14 @@ class Session;
 ///     whole statement; because no write-class statement can interleave,
 ///     the epoch observed at statement start equals the epoch at statement
 ///     end — the snapshot the session layer promises.
-///   - Writers (DML, DDL, MINE RULE, anything touching a sequence)
-///     serialize on the exclusive latch and bump the epoch exactly once
-///     per committed statement.
+///   - Writers (DML, DDL, anything touching a sequence) serialize on the
+///     exclusive latch and bump the epoch exactly once per committed
+///     statement.
+///   - MINE RULE takes the mining lane, copies its sources under a brief
+///     ReadPin (copy-on-write, O(1) per table), mines with no latch held,
+///     and installs its output under a short WriteLock after checking that
+///     no source changed; on a conflict it re-mines under that WriteLock.
+///     Its one epoch bump is the install.
 ///
 /// The catalog epoch orders whole write statements the way table versions
 /// order individual table mutations; a reader's pinned epoch therefore
@@ -48,9 +54,10 @@ class SessionManager {
     uint64_t epoch_;
   };
 
-  /// Exclusive latch; Commit() bumps the epoch (call once, on success and
-  /// failure alike — even a failed statement may have partially mutated
-  /// the catalog, so its epoch must advance).
+  /// Exclusive latch; Commit() bumps the epoch. A write statement calls it
+  /// once, on success and failure alike (even a failed statement may have
+  /// partially mutated the catalog, so its epoch must advance); a MINE RULE
+  /// calls it only when it installs output.
   class WriteLock {
    public:
     explicit WriteLock(SessionManager* manager)
@@ -62,6 +69,23 @@ class SessionManager {
     std::unique_lock<std::shared_mutex> lock_;
   };
 
+  /// The mining lane: one MINE RULE mines at a time, so concurrent runs
+  /// never stack their working sets. A session takes it before admission,
+  /// so a MINE RULE waiting here holds no slot and no latch; the wait
+  /// counts as queue wait.
+  class MiningLane {
+   public:
+    explicit MiningLane(SessionManager* manager);
+    /// True when another run held the lane on arrival.
+    bool waited() const { return waited_; }
+    int64_t wait_micros() const { return wait_micros_; }
+
+   private:
+    std::unique_lock<std::mutex> lock_;
+    bool waited_ = false;
+    int64_t wait_micros_ = 0;
+  };
+
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
  private:
@@ -71,14 +95,16 @@ class SessionManager {
 
   std::shared_mutex latch_;
   std::atomic<uint64_t> epoch_{0};
+  std::mutex mining_lane_;
 };
 
 struct ServerOptions {
   /// Admission-control slots; <= 0 resolves as Scheduler does.
   int max_concurrent = 0;
   /// Seed options for every new session (a session may override its own
-  /// copy afterwards). Sessions default to dropping encoded tables after
-  /// each MINE RULE so concurrent runs leave no shared scratch state.
+  /// copy afterwards). Sessions default to dropping the encoded tables
+  /// after each MINE RULE: they live in the session's private scratch
+  /// catalog, so this only frees their memory between runs.
   mr::MiningOptions session_defaults;
 };
 
@@ -94,9 +120,9 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Opens a new session. Sessions are independent: each holds its own
-  /// engine state (options, host variables, statistics, preprocess cache)
-  /// over the shared catalog, and may be driven from its own thread.
-  /// Sessions must not outlive the server.
+  /// engine state (options, host variables, statistics, preprocess cache,
+  /// scratch catalog for MINE RULE) over the shared catalog, and may be
+  /// driven from its own thread. Sessions must not outlive the server.
   std::unique_ptr<Session> Connect(std::string name = "");
 
   Catalog* catalog() { return catalog_; }

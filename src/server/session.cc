@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <functional>
+#include <optional>
 
 #include "common/log.h"
 #include "common/metrics.h"
@@ -122,8 +124,12 @@ Session::Session(Server* server, int64_t id, std::string name)
       id_(id),
       name_(std::move(name)),
       options_(server->options().session_defaults),
-      system_(std::make_unique<mr::DataMiningSystem>(server->catalog())),
+      sql_(server->catalog()),
+      system_(std::make_unique<mr::DataMiningSystem>(&scratch_)),
       slow_query_micros_(DefaultSlowQueryMicros()) {
+  // Per-operator row counts for the slow-query log, as the mining system
+  // collects them for its generated queries.
+  sql_.set_collect_operator_stats(true);
   sql::GlobalStatementRegistry().RegisterSession(id_, name_);
   GlobalLog().Log(LogLevel::kDebug, "server.session", "session opened",
                   {{"session", id_}, {"name", name_}});
@@ -162,18 +168,21 @@ Result<SessionResult> Session::Execute(std::string_view statement) {
   const int64_t statement_id =
       registry.BeginStatement(id_, std::string(statement), class_name);
 
-  // Admission first, latch second: a queued statement holds nothing, so
-  // admitted statements always make progress.
+  // Lane first (MINE RULE only), admission second, latch last: a waiting
+  // statement holds nothing, so admitted statements always make progress.
   Stopwatch watch;
+  std::optional<SessionManager::MiningLane> lane;
+  if (result.is_mine_rule()) lane.emplace(server_->session_manager());
   const Admission admission = server_->scheduler()->Admit();
   SlotGuard slot(server_->scheduler());
-  result.queue_wait_micros = admission.queue_wait_micros;
-  result.queued = admission.queued;
-  registry.MarkAdmitted(statement_id, admission.queue_wait_micros);
+  result.queue_wait_micros =
+      admission.queue_wait_micros + (lane ? lane->wait_micros() : 0);
+  result.queued = admission.queued || (lane && lane->waited());
+  registry.MarkAdmitted(statement_id, result.queue_wait_micros);
 
   // Per-statement attribution for the mr_runs rows this statement appends.
-  system_->set_run_attribution({id_, admission.queue_wait_micros,
-                                admission.Decision()});
+  system_->set_run_attribution({id_, result.queue_wait_micros,
+                                result.queued ? "queued" : "immediate"});
 
   Status status;
   SessionManager* manager = server_->session_manager();
@@ -182,15 +191,17 @@ Result<SessionResult> Session::Execute(std::string_view statement) {
     result.epoch_start = pin.epoch();
     registry.MarkExecuting(statement_id,
                            static_cast<int64_t>(pin.epoch()));
-    status = ExecuteClassified(statement, result.statement_class, &result);
+    status = ExecuteSql(statement, &result);
     result.epoch_end = manager->epoch();
-  } else {
+  } else if (result.statement_class == StatementClass::kWrite) {
     SessionManager::WriteLock lock(manager);
     result.epoch_start = manager->epoch();
     registry.MarkExecuting(statement_id,
                            static_cast<int64_t>(result.epoch_start));
-    status = ExecuteClassified(statement, result.statement_class, &result);
+    status = ExecuteSql(statement, &result);
     result.epoch_end = lock.Commit();
+  } else {
+    status = ExecuteMineRule(statement, statement_id, &result);
   }
   last_epoch_ = result.epoch_end;
   const int64_t total_micros = watch.ElapsedMicros();
@@ -270,30 +281,121 @@ Result<SessionResult> Session::Execute(std::string_view statement) {
   return result;
 }
 
-Status Session::ExecuteClassified(std::string_view statement,
-                                  StatementClass cls, SessionResult* result) {
-  if (cls == StatementClass::kMineRule) {
-    // The mining system appends this statement's mr_runs row itself, parse
-    // failures included.
-    Result<mr::MiningRunStats> stats =
-        system_->ExecuteMineRule(statement, options_);
-    MR_RETURN_IF_ERROR(stats.status());
-    result->run_id = stats->run_id;
-    result->mining = std::move(*stats);
-    return Status::OK();
+Status Session::ExecuteMineRule(std::string_view statement,
+                                int64_t statement_id, SessionResult* result) {
+  static Counter* conflicts =
+      GlobalMetrics().GetCounter("server.mine_rule_conflicts");
+  SessionManager* manager = server_->session_manager();
+  sql::StatementRegistry& registry = sql::GlobalStatementRegistry();
+  Result<mr::MineRuleStatement> stmt = mr::ParseMineRule(statement);
+  if (!stmt.ok()) {
+    result->epoch_start = result->epoch_end = manager->epoch();
+    registry.MarkExecuting(statement_id,
+                           static_cast<int64_t>(result->epoch_start));
+    // Parses again there, so the failure gets its one mr_runs row.
+    return system_->ExecuteMineRule(statement, options_).status();
   }
 
+  std::string fingerprint;
+  {
+    SessionManager::ReadPin pin(manager);
+    result->epoch_start = pin.epoch();
+    fingerprint = SnapshotSources(stmt->from);
+  }
+  registry.MarkExecuting(statement_id,
+                         static_cast<int64_t>(result->epoch_start));
+
+  // Mines with no latch held; the hook validates and installs.
+  Result<mr::MiningRunStats> stats = system_->ExecuteStatement(
+      *stmt, options_,
+      [&](Result<mr::MiningRunStats>* run,
+          const std::function<Result<mr::MiningRunStats>()>& rerun) {
+        SessionManager::WriteLock lock(manager);
+        result->epoch_end = manager->epoch();
+        if (mr::SourceFingerprint(*server_->catalog(), stmt->from) !=
+            fingerprint) {
+          // A source changed after the pin (Kung & Robinson's validation
+          // failed): mine again on the current state, holding the latch so
+          // this second run cannot go stale.
+          conflicts->Increment();
+          DropSnapshots();
+          SnapshotSources(stmt->from);
+          *run = rerun();
+        }
+        if (run->ok()) {
+          const Status installed = InstallOutput((*run)->output);
+          if (installed.ok()) {
+            result->epoch_end = lock.Commit();
+          } else {
+            *run = installed;
+          }
+        }
+        DropSnapshots();
+      });
+  MR_RETURN_IF_ERROR(stats.status());
+  result->run_id = stats->run_id;
+  result->mining = std::move(*stats);
+  return Status::OK();
+}
+
+std::string Session::SnapshotSources(const std::vector<sql::TableRef>& from) {
+  Catalog* shared = server_->catalog();
+  mr::VisitSourceRelations(
+      *shared, from,
+      [&](const std::string& name, const ViewDef* view,
+          const std::shared_ptr<Table>& table) {
+        scratch_.DropTableIfExists(name);
+        scratch_.DropViewIfExists(name);
+        if (view != nullptr) {
+          (void)scratch_.CreateView(view->name, view->select_sql);
+        } else if (table != nullptr) {
+          snapshot_tables_.push_back(std::make_shared<Table>(*table));
+          (void)scratch_.AddTable(snapshot_tables_.back());
+        }
+        snapshot_names_.push_back(name);
+      });
+  return mr::SourceFingerprint(*shared, from);
+}
+
+void Session::DropSnapshots() {
+  for (const std::string& name : snapshot_names_) {
+    scratch_.DropTableIfExists(name);
+    scratch_.DropViewIfExists(name);
+  }
+  snapshot_names_.clear();
+  snapshot_tables_.clear();
+}
+
+Status Session::InstallOutput(const mr::PostprocessResult& output) {
+  std::vector<std::shared_ptr<Table>> tables;
+  for (const std::string* name :
+       {&output.rules_table, &output.bodies_table, &output.heads_table}) {
+    MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
+                        scratch_.GetTable(*name));
+    tables.push_back(std::move(table));
+  }
+  Catalog* shared = server_->catalog();
+  for (std::shared_ptr<Table>& table : tables) {
+    scratch_.DropTableIfExists(table->name());
+    shared->DropTableIfExists(table->name());
+    shared->DropViewIfExists(table->name());
+    MR_RETURN_IF_ERROR(shared->AddTable(std::move(table)));
+  }
+  return Status::OK();
+}
+
+Status Session::ExecuteSql(std::string_view statement,
+                           SessionResult* result) {
   // Plain SQL: apply the session's engine-level options, execute, and
   // append this statement's own mr_runs row.
-  sql::SqlEngine* engine = system_->sql_engine();
-  engine->set_num_threads(options_.num_threads);
-  engine->set_cost_based(options_.cost_based_sql);
+  sql_.set_num_threads(options_.num_threads);
+  sql_.set_cost_based(options_.cost_based_sql);
   if (options_.memory_limit != mr::MiningOptions::kMemoryLimitInherit) {
-    engine->set_memory_limit(options_.memory_limit);
+    sql_.set_memory_limit(options_.memory_limit);
   }
 
   Stopwatch watch;
-  Result<sql::QueryResult> query = system_->ExecuteSql(statement);
+  Result<sql::QueryResult> query = sql_.Execute(statement);
 
   sql::RunRecord run;
   run.statement = std::string(statement);

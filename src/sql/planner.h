@@ -55,9 +55,10 @@ class Planner {
   /// place, so a SelectStmt must be planned at most once.
   Result<PlannedSelect> Plan(SelectStmt* stmt);
 
- private:
+  /// Deepest nesting of views and subqueries Plan expands.
   static constexpr int kMaxViewDepth = 16;
 
+ private:
   Result<PlannedSelect> PlanImpl(SelectStmt* stmt, int depth);
   Result<std::pair<ExecNodePtr, BindScope>> PlanTableRef(TableRef* ref,
                                                          int depth);

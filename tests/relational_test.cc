@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -333,6 +334,91 @@ TEST(ColumnarTest, TableCachesImageByVersion) {
   EXPECT_EQ(first->num_rows, 1u);
   EXPECT_EQ(first->columns[0].GetValue(0).ToString(),
             Value::Integer(1).ToString());
+}
+
+// --- copy-on-write rows ---------------------------------------------------
+
+Table TwoRowTable() {
+  Table table("t", Schema({{"a", DataType::kInteger}}));
+  table.AppendUnchecked({Value::Integer(1)});
+  table.AppendUnchecked({Value::Integer(2)});
+  return table;
+}
+
+TEST(TableCopyOnWriteTest, CopySharesRowStorage) {
+  Table original = TwoRowTable();
+  const Table copy = original;
+  EXPECT_EQ(&copy.rows(), &original.rows());
+  EXPECT_EQ(copy.version(), original.version());
+  EXPECT_EQ(copy.Columnar().get(), original.Columnar().get());
+}
+
+TEST(TableCopyOnWriteTest, EveryMutatorDetaches) {
+  struct Mutator {
+    const char* name;
+    std::function<void(Table*)> apply;
+  };
+  const std::vector<Mutator> mutators = {
+      {"Append",
+       [](Table* t) { ASSERT_TRUE(t->Append({Value::Integer(3)}).ok()); }},
+      {"AppendUnchecked",
+       [](Table* t) { t->AppendUnchecked({Value::Integer(3)}); }},
+      {"Clear", [](Table* t) { t->Clear(); }},
+      {"Reserve", [](Table* t) { t->Reserve(64); }},
+      {"mutable_rows",
+       [](Table* t) { t->mutable_rows()[0][0] = Value::Integer(9); }},
+  };
+  for (const Mutator& mutator : mutators) {
+    SCOPED_TRACE(mutator.name);
+    Table original = TwoRowTable();
+    const Table snapshot = original;
+    const std::vector<Row>* shared = &snapshot.rows();
+    mutator.apply(&original);
+    EXPECT_NE(&original.rows(), shared);
+    EXPECT_EQ(&snapshot.rows(), shared);
+    ASSERT_EQ(snapshot.num_rows(), 2u);
+    EXPECT_EQ(snapshot.row(0)[0].AsInteger(), 1);
+    EXPECT_EQ(snapshot.row(1)[0].AsInteger(), 2);
+  }
+}
+
+TEST(TableCopyOnWriteTest, SnapshotSurvivesMutationsOfTheOriginal) {
+  Table original = TwoRowTable();
+  const auto image = original.Columnar();
+  const Table snapshot = original;
+  const uint64_t version = snapshot.version();
+  EXPECT_EQ(snapshot.Columnar().get(), image.get());
+
+  original.AppendUnchecked({Value::Integer(3)});
+  original.mutable_rows()[0][0] = Value::Integer(7);
+  EXPECT_NE(original.version(), version);
+  EXPECT_EQ(original.Columnar()->num_rows, 3u);
+
+  // The snapshot keeps its rows, its version and the very image it had:
+  // the original's mutations neither reach it nor rebuild its image.
+  EXPECT_EQ(snapshot.version(), version);
+  ASSERT_EQ(snapshot.num_rows(), 2u);
+  EXPECT_EQ(snapshot.row(0)[0].AsInteger(), 1);
+  EXPECT_EQ(snapshot.Columnar().get(), image.get());
+  EXPECT_EQ(image->num_rows, 2u);
+}
+
+TEST(TableCopyOnWriteTest, MutatingTheCopyLeavesTheOriginal) {
+  Table original = TwoRowTable();
+  Table copy = original;
+  copy.AppendUnchecked({Value::Integer(3)});
+  EXPECT_EQ(original.num_rows(), 2u);
+  EXPECT_EQ(copy.num_rows(), 3u);
+}
+
+TEST(TableCopyOnWriteTest, UnsharedTableMutatesInPlace) {
+  Table table = TwoRowTable();
+  const std::vector<Row>* storage = &table.rows();
+  { const Table released = table; }
+  table.AppendUnchecked({Value::Integer(3)});
+  table.Reserve(16);
+  table.mutable_rows()[0][0] = Value::Integer(5);
+  EXPECT_EQ(&table.rows(), storage);
 }
 
 TEST(RowHashTest, EqualRowsHashEqual) {

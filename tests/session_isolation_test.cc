@@ -1,19 +1,25 @@
 // Session isolation (DESIGN.md §15): snapshot reads pin a stable catalog
-// epoch while writers run, per-session options never leak across sessions,
-// and one session's failure leaves the others untouched.
+// epoch while writers run, MINE RULE mines on a snapshot without blocking
+// either, per-session options never leak across sessions, and one
+// session's failure leaves the others untouched.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "datagen/paper_example.h"
+#include "datagen/retail_gen.h"
+#include "engine/data_mining_system.h"
 #include "relational/catalog_io.h"
 #include "server/server.h"
 #include "server/session.h"
+#include "sql/statement_registry.h"
 #include "sql/system_tables.h"
 
 namespace minerule {
@@ -80,6 +86,231 @@ TEST(SessionIsolationTest, SnapshotReadsSeeStableEpoch) {
   ASSERT_TRUE(final_count.ok());
   EXPECT_EQ(SingleInteger(final_count->query), kInserts);
   EXPECT_GE(snapshot_reads.load(), 50);
+}
+
+// The paper example's follow-up statement (an expensive purchase, then a
+// cheap one on a later day) over a retail table large enough that mining
+// takes far longer than a handful of small statements.
+constexpr char kFollowUps[] =
+    "MINE RULE FollowUps AS SELECT DISTINCT 1..2 item AS BODY, 1..1 item AS "
+    "HEAD, SUPPORT, CONFIDENCE WHERE BODY.price >= 100 AND HEAD.price < 100 "
+    "FROM Purchase GROUP BY customer CLUSTER BY date HAVING BODY.date < "
+    "HEAD.date EXTRACTING RULES WITH SUPPORT: 0.03, CONFIDENCE: 0.2";
+
+void MakeRetail(Catalog* catalog) {
+  datagen::RetailParams params;
+  params.num_customers = 1500;
+  auto table = datagen::GenerateRetailTable(catalog, "Purchase", params);
+  ASSERT_TRUE(table.ok()) << table.status();
+}
+
+std::string DumpRuleTables(const Catalog& catalog, const std::string& out) {
+  std::string dump;
+  for (const std::string& name : {out, out + "_Bodies", out + "_Heads"}) {
+    auto table = catalog.GetTable(name);
+    if (!table.ok()) return name + " missing";
+    dump += "== " + name + "\n" + (*table)->ToDisplayString(1u << 20);
+  }
+  return dump;
+}
+
+/// The rule tables a single-session library run produces on the retail
+/// data, after `setup_sql` (when non-empty).
+std::string SerialRules(const std::string& setup_sql) {
+  Catalog catalog;
+  MakeRetail(&catalog);
+  mr::DataMiningSystem serial(&catalog);
+  if (!setup_sql.empty()) {
+    EXPECT_TRUE(serial.ExecuteSql(setup_sql).ok());
+  }
+  mr::MiningOptions options;
+  options.keep_encoded_tables = false;
+  auto stats = serial.ExecuteMineRule(kFollowUps, options);
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  return DumpRuleTables(catalog, "FollowUps");
+}
+
+/// Blocks until `session`'s statement is executing, i.e. its MINE RULE has
+/// taken its snapshot and released the pin. False if it finished first.
+bool AwaitExecuting(const server::Session& session,
+                    const std::atomic<bool>& finished) {
+  while (!finished.load()) {
+    for (const sql::ActiveStatementSnapshot& active :
+         sql::GlobalStatementRegistry().ActiveStatements()) {
+      if (active.session_id == session.id() &&
+          active.state == sql::StatementState::kExecuting) {
+        return true;
+      }
+    }
+    std::this_thread::yield();
+  }
+  return false;
+}
+
+// MINE RULE holds no catalog latch while it mines: while one session's
+// run is executing, another session's reads and INSERTs all complete. The
+// run still mines exactly the serial run's rules, and installs after those
+// INSERTs committed.
+TEST(SessionIsolationTest, MineRuleDoesNotBlockReadsAndWrites) {
+  Catalog catalog;
+  MakeRetail(&catalog);
+  server::Server server(&catalog);
+  auto miner = server.Connect("miner");
+  auto other = server.Connect("other");
+  ASSERT_TRUE(other->Execute("CREATE TABLE side (x INTEGER)").ok());
+
+  std::atomic<bool> finished{false};
+  Result<server::SessionResult> mined = Status::Internal("not run");
+  std::thread mining([&] {
+    mined = miner->Execute(kFollowUps);
+    finished.store(true);
+  });
+  const bool executing = AwaitExecuting(*miner, finished);
+
+  uint64_t first_insert_start = 0;
+  uint64_t last_insert_end = 0;
+  for (int i = 0; i < 5 && executing; ++i) {
+    // EXPECT, not ASSERT: returning here would leave `mining` unjoined.
+    auto read = other->Execute("SELECT COUNT(*) FROM Purchase");
+    EXPECT_TRUE(read.ok()) << read.status();
+    auto insert =
+        other->Execute("INSERT INTO side VALUES (" + std::to_string(i) + ")");
+    EXPECT_TRUE(insert.ok()) << insert.status();
+    if (!read.ok() || !insert.ok()) break;
+    if (i == 0) first_insert_start = insert->epoch_start;
+    last_insert_end = insert->epoch_end;
+  }
+  const bool side_work_finished_first = !finished.load();
+  mining.join();
+
+  ASSERT_TRUE(executing) << "the MINE RULE finished before it was observed";
+  EXPECT_TRUE(side_work_finished_first)
+      << "reads and INSERTs waited for the MINE RULE";
+  ASSERT_TRUE(mined.ok()) << mined.status();
+  // Pinned before the INSERTs, installed after them.
+  EXPECT_LE(mined->epoch_start, first_insert_start);
+  EXPECT_GT(mined->epoch_end, last_insert_end);
+  EXPECT_EQ(DumpRuleTables(catalog, "FollowUps"), SerialRules(""));
+}
+
+// An INSERT into the source while a MINE RULE mines invalidates its
+// snapshot: the install fails validation and the run mines again on the
+// current data, so its rules are the serial run's on the post-INSERT data
+// (a new customer is a new group, so every SUPPORT changes). Still one
+// mr_runs row for the statement.
+TEST(SessionIsolationTest, SourceWriteDuringMiningForcesReMine) {
+  const std::string insert =
+      "INSERT INTO Purchase VALUES (999999, 'new_customer', 'item1', "
+      "DATE '1995-01-02', 150.0, 1)";
+  Catalog catalog;
+  MakeRetail(&catalog);
+  server::Server server(&catalog);
+  auto miner = server.Connect("miner");
+  auto writer = server.Connect("writer");
+  Counter* conflicts =
+      GlobalMetrics().GetCounter("server.mine_rule_conflicts");
+  const int64_t conflicts_before = conflicts->Value();
+  const int64_t runs_before = sql::GlobalObservability().run_count();
+
+  std::atomic<bool> finished{false};
+  Result<server::SessionResult> mined = Status::Internal("not run");
+  std::thread mining([&] {
+    mined = miner->Execute(kFollowUps);
+    finished.store(true);
+  });
+  const bool executing = AwaitExecuting(*miner, finished);
+  auto inserted = writer->Execute(insert);
+  mining.join();
+
+  ASSERT_TRUE(executing) << "the MINE RULE finished before it was observed";
+  ASSERT_TRUE(inserted.ok()) << inserted.status();
+  ASSERT_TRUE(mined.ok()) << mined.status();
+  // The rules are those of a serial run at the install epoch; the INSERT
+  // landed while the run mined, so that is the post-INSERT data.
+  ASSERT_GT(mined->epoch_end, inserted->epoch_end);
+  EXPECT_LT(mined->epoch_start, inserted->epoch_end);
+  EXPECT_EQ(conflicts->Value() - conflicts_before, 1);
+  EXPECT_EQ(sql::GlobalObservability().run_count() - runs_before, 2);
+  EXPECT_EQ(DumpRuleTables(catalog, "FollowUps"), SerialRules(insert));
+}
+
+// The install replaces a same-named view or table in the shared catalog,
+// as the postprocessor does in a library run, even the run's own source
+// (it mined a snapshot of it).
+TEST(SessionIsolationTest, InstallReplacesSameNamedRelations) {
+  auto statement = [](const std::string& out) {
+    return "MINE RULE " + out +
+           " AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD, "
+           "SUPPORT, CONFIDENCE FROM Purchase GROUP BY customer EXTRACTING "
+           "RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1";
+  };
+  Catalog catalog;
+  ASSERT_TRUE(datagen::MakePaperPurchaseTable(&catalog).ok());
+  server::Server server(&catalog);
+  auto session = server.Connect();
+  ASSERT_TRUE(session->Execute("CREATE VIEW Rules AS SELECT * FROM Purchase")
+                  .ok());
+  auto into_view = session->Execute(statement("Rules"));
+  ASSERT_TRUE(into_view.ok()) << into_view.status();
+  EXPECT_FALSE(catalog.HasView("Rules"));
+  EXPECT_TRUE(catalog.HasTable("Rules"));
+  auto into_source = session->Execute(statement("Purchase"));
+  ASSERT_TRUE(into_source.ok()) << into_source.status();
+
+  Catalog serial_catalog;
+  ASSERT_TRUE(datagen::MakePaperPurchaseTable(&serial_catalog).ok());
+  mr::DataMiningSystem serial(&serial_catalog);
+  ASSERT_TRUE(serial.ExecuteMineRule(statement("Purchase")).ok());
+  EXPECT_EQ(DumpRuleTables(catalog, "Purchase"),
+            DumpRuleTables(serial_catalog, "Purchase"));
+  EXPECT_EQ(into_view->mining.output.num_rules,
+            into_source->mining.output.num_rules);
+}
+
+// Waiting for the mining lane is queue wait: it shows in the session
+// result and in the statement's mr_runs row.
+TEST(SessionIsolationTest, MiningLaneWaitCountsAsQueueWait) {
+  Catalog catalog;
+  ASSERT_TRUE(datagen::MakePaperPurchaseTable(&catalog).ok());
+  server::Server server(&catalog);
+  auto session = server.Connect("waiter");
+
+  Result<server::SessionResult> mined = Status::Internal("not run");
+  std::thread mining;
+  {
+    // Hold the lane, as another session's run would.
+    server::SessionManager::MiningLane lane(server.session_manager());
+    mining = std::thread([&] {
+      mined = session->Execute(
+          "MINE RULE waited AS SELECT DISTINCT 1..n item AS BODY, 1..1 item "
+          "AS HEAD, SUPPORT, CONFIDENCE FROM Purchase GROUP BY customer "
+          "EXTRACTING RULES WITH SUPPORT: 0.1, CONFIDENCE: 0.1");
+    });
+    // Queued (not yet admitted) until the lane is released.
+    bool queued = false;
+    while (!queued) {
+      for (const sql::ActiveStatementSnapshot& active :
+           sql::GlobalStatementRegistry().ActiveStatements()) {
+        queued |= active.session_id == session->id() &&
+                  active.state == sql::StatementState::kQueued;
+      }
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  mining.join();
+
+  ASSERT_TRUE(mined.ok()) << mined.status();
+  EXPECT_TRUE(mined->queued);
+  EXPECT_GE(mined->queue_wait_micros, 20000);
+  bool found = false;
+  for (const sql::RunRecord& run : sql::GlobalObservability().Runs()) {
+    if (run.run_id != mined->run_id) continue;
+    found = true;
+    EXPECT_EQ(run.admission, "queued");
+    EXPECT_EQ(run.queue_wait_micros, mined->queue_wait_micros);
+  }
+  EXPECT_TRUE(found);
 }
 
 // Options are per-session state: mutating one session's copy must never
