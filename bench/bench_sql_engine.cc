@@ -10,10 +10,11 @@
 //   bench_sql_engine --smoke        # CI gate: columnar vs row differential
 //                                   # + scan/filter timing check, JSON
 //                                   # report, "SMOKE OK"
-//   bench_sql_engine --plan-smoke   # CI gate: cost-based planning (DESIGN.md
-//                                   # §14) vs the syntactic planner on skewed
-//                                   # retail data + adaptive core-algorithm
-//                                   # selection, JSON report, "PLAN SMOKE OK"
+//   bench_sql_engine --plan-smoke   # CI gate: plans from statistics after
+//                                   # ANALYZE (DESIGN.md §14) vs FROM-order
+//                                   # plans on skewed retail data + adaptive
+//                                   # core-algorithm selection, JSON report,
+//                                   # "PLAN SMOKE OK"
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -202,11 +204,12 @@ BENCHMARK_REGISTER_F(EngineFixture, InsertSelect)
 // ---------------------------------------------------------------------------
 // Skewed-join axis (EXPERIMENTS.md): facts.grp drawn uniform or Zipf(1.0)
 // over the dim keys, with the small dim FIRST in the FROM list — the order a
-// naive statement writer produces and the worst case for the syntactic
-// planner, which always builds the hash table over the right (big) input.
-// Arg 2 toggles the cost-based planner (DESIGN.md §14), so the
-// {uniform, zipf} x {syntactic, cost-based} grid quantifies what the
-// build-side choice buys as skew grows.
+// naive statement writer produces and the worst case for the FROM-order
+// plan, which always builds the hash table over the right (big) input.
+// Arg 2 picks the engine: 1 runs one that ANALYZEd the tables and so plans
+// from statistics (DESIGN.md §14), 0 a second engine over the same catalog
+// that never analyzed them. The {uniform, zipf} x {FROM order, analyzed}
+// grid quantifies what the build-side choice buys as skew grows.
 
 void FillSkewTables(Catalog* catalog, int64_t rows, bool zipf) {
   const int64_t groups = rows / 100 + 1;
@@ -250,19 +253,24 @@ class SkewFixture : public benchmark::Fixture {
  public:
   void SetUp(const benchmark::State& state) override {
     catalog_ = std::make_unique<Catalog>();
-    engine_ = std::make_unique<sql::SqlEngine>(catalog_.get());
+    analyzed_ = std::make_unique<sql::SqlEngine>(catalog_.get());
+    plain_ = std::make_unique<sql::SqlEngine>(catalog_.get());
     FillSkewTables(catalog_.get(), state.range(0), state.range(1) == 1);
-    engine_->set_cost_based(state.range(2) == 1);
-    (void)engine_->Execute("ANALYZE");
+    (void)analyzed_->Execute("ANALYZE");
+    engine_ = state.range(2) == 1 ? analyzed_.get() : plain_.get();
   }
   void TearDown(const benchmark::State&) override {
-    engine_.reset();
+    engine_ = nullptr;
+    plain_.reset();
+    analyzed_.reset();
     catalog_.reset();
   }
 
  protected:
   std::unique_ptr<Catalog> catalog_;
-  std::unique_ptr<sql::SqlEngine> engine_;
+  std::unique_ptr<sql::SqlEngine> analyzed_;
+  std::unique_ptr<sql::SqlEngine> plain_;
+  sql::SqlEngine* engine_ = nullptr;
 };
 
 BENCHMARK_DEFINE_F(SkewFixture, SmallDimFirstJoin)(benchmark::State& state) {
@@ -280,7 +288,7 @@ BENCHMARK_DEFINE_F(SkewFixture, SmallDimFirstJoin)(benchmark::State& state) {
   state.counters["out_rows"] = static_cast<double>(rows);
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-// {rows} x {uniform, zipf} x {syntactic, cost-based}.
+// {rows} x {uniform, zipf} x {FROM order, analyzed}.
 BENCHMARK_REGISTER_F(SkewFixture, SmallDimFirstJoin)
     ->ArgsProduct({{100000}, {0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
@@ -397,33 +405,83 @@ int RunSmoke() {
 }
 
 // ---------------------------------------------------------------------------
-// --plan-smoke: the cost-based planning CI gate (DESIGN.md §14). Two parts:
+// --plan-smoke: the planning CI gate (DESIGN.md §14). Two parts:
 //
-//  1. SQL planning on skewed retail data: every query runs under the
-//     syntactic planner and the cost-based planner; results must be
-//     byte-identical, the cost-based plan must never be > 5% slower, and at
-//     least one `checked` shape (build-side swap, join reorder) must improve
-//     by >= 1.15x.
+//  1. SQL planning on skewed retail data: every query runs on an engine
+//     that ANALYZEd the tables, and so plans from statistics, and on a
+//     second engine over the same catalog that never analyzed them, and so
+//     keeps FROM-order plans; results must be byte-identical, the analyzed
+//     plan must never be > 5% slower, and at least one `checked` shape
+//     (build-side swap, join reorder) must improve by >= 1.15x.
 //  2. Adaptive core-algorithm selection: MINE-RULE's simple core with
 //     algorithm=auto vs the static default (gidlist) on shapes where the
 //     choice matters; identical rules, never > 5% slower, >= 1.15x on a
 //     `checked` shape.
 //
-// Emits one validated JSON report and PLAN SMOKE OK / PLAN SMOKE FAIL.
+// Both gates compare sides through TimePairs below. Emits one validated
+// JSON report and PLAN SMOKE OK / PLAN SMOKE FAIL.
 
 struct PlanQuery {
   const char* name;
   const char* sql;
-  bool checked;  // expected to improve under cost-based planning
+  bool checked;  // expected to improve when planned from statistics
 };
 
+double Median(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t mid = samples.size() / 2;
+  return samples.size() % 2 == 1 ? samples[mid]
+                                 : (samples[mid - 1] + samples[mid]) / 2;
+}
+
+struct PairedTiming {
+  double median_ms[2] = {0, 0};
+  double speedup = 0;  // median over pairs of side 0 ms / side 1 ms
+};
+
+// Times side 0 against side 1 in interleaved pairs, alternating which side
+// runs first so both see the same allocator and cache state. Pairs repeat
+// until at least kMinPairs ran and kBudgetMs passed, so a shape of a few
+// milliseconds gets dozens of samples where one-shot timings are noisier
+// than the 5% gate. The speedup is the median of the per-pair ratios: the
+// two runs of a pair share the host's state of the moment, so drift
+// cancels, and no single slow run decides a comparison. `run` returns false
+// on a failure it has reported.
+bool TimePairs(const std::function<bool(int side)>& run, PairedTiming* out) {
+  constexpr int kMinPairs = 5;
+  constexpr int kMaxPairs = 401;
+  constexpr double kBudgetMs = 1500;
+  using Clock = std::chrono::steady_clock;
+  auto elapsed_ms = [](Clock::time_point since) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - since)
+        .count();
+  };
+  std::vector<double> ms[2];
+  std::vector<double> ratios;
+  const Clock::time_point begin = Clock::now();
+  for (int pair = 0; pair < kMaxPairs; ++pair) {
+    for (int pos = 0; pos < 2; ++pos) {
+      const int side = (pos + pair) % 2;
+      const Clock::time_point start = Clock::now();
+      if (!run(side)) return false;
+      ms[side].push_back(elapsed_ms(start));
+    }
+    ratios.push_back(ms[0].back() / ms[1].back());
+    if (pair + 1 >= kMinPairs && elapsed_ms(begin) >= kBudgetMs) break;
+  }
+  out->median_ms[0] = Median(ms[0]);
+  out->median_ms[1] = Median(ms[1]);
+  out->speedup = Median(ratios);
+  return true;
+}
+
 int RunPlanSmoke() {
-  constexpr int kReps = 5;
   constexpr double kSlowdownTolerance = 1.05;
   constexpr double kRequiredSpeedup = 1.15;
 
   Catalog catalog;
-  sql::SqlEngine engine(&catalog);
+  sql::SqlEngine analyzed(&catalog);
+  sql::SqlEngine plain(&catalog);
 
   // Skewed retail data: ~90k purchases over ~200 items, so the purchase
   // table fans out ~450:1 against the per-item dim tables built below.
@@ -441,7 +499,7 @@ int RunPlanSmoke() {
   {
     // product: one row per item; promo: three rows per item. Built from the
     // generated item universe so the join keys actually match.
-    auto items = engine.Execute("SELECT DISTINCT item FROM purchase");
+    auto items = plain.Execute("SELECT DISTINCT item FROM purchase");
     if (!items.ok()) {
       std::fprintf(stderr, "item scan: %s\n",
                    items.status().ToString().c_str());
@@ -472,26 +530,27 @@ int RunPlanSmoke() {
       restock.value()->AppendUnchecked({row[0], Value::Integer(i % 5)});
     }
   }
-  (void)engine.Execute("ANALYZE");
+  (void)analyzed.Execute("ANALYZE");
+  sql::SqlEngine* const engines[2] = {&plain, &analyzed};
 
   const PlanQuery queries[] = {
-      // Build side: the 200-row dim is on the left, so the syntactic plan
+      // Build side: the 200-row dim is on the left, so the FROM-order plan
       // builds the hash table over the ~90k-row purchase side; the
-      // cost-based plan swaps the build to the dim.
+      // analyzed plan swaps the build to the dim.
       {"build_swap",
        "SELECT p.pid, s.price FROM product p, purchase s "
        "WHERE p.item = s.item AND s.price > 50.0",
        true},
       // Join order: returns and restock have no direct predicate, so the
-      // syntactic left-deep plan crosses them (4M rows) before product can
-      // restrict anything; the cost-based plan joins each through product
+      // FROM-order left-deep plan crosses them (4M rows) before product can
+      // restrict anything; the analyzed plan joins each through product
       // and never exceeds ~20k intermediate rows.
       {"join_reorder",
        "SELECT COUNT(*), SUM(r.qty + k.qty) FROM returns r, restock k, "
        "product p WHERE r.item = p.item AND k.item = p.item",
        true},
-      // Guard rails: shapes the syntactic planner already handles well
-      // must not regress.
+      // Guard rails: shapes the FROM-order plan already handles well must
+      // not regress.
       {"filter_scan", "SELECT tr FROM purchase WHERE price > 100.0", false},
       {"group_by",
        "SELECT item, COUNT(*), SUM(price) FROM purchase GROUP BY item",
@@ -507,44 +566,37 @@ int RunPlanSmoke() {
   int improved = 0;
   w.Key("sql").BeginArray();
   for (const PlanQuery& q : queries) {
-    double best_ms[2] = {1e300, 1e300};
     std::string dump[2];
-    // Interleaved with alternating order, for the same reason as the
-    // mining loop below: both modes should see the same allocator state.
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (int pos = 0; pos < 2; ++pos) {
-        const int cost = (pos + rep) % 2;
-        engine.set_cost_based(cost == 1);
-        auto start = std::chrono::steady_clock::now();
-        auto result = engine.Execute(q.sql);
-        auto stop = std::chrono::steady_clock::now();
-        if (!result.ok()) {
-          std::fprintf(stderr, "PLAN SMOKE FAIL %s (%s): %s\n", q.name,
-                       cost ? "cost-based" : "syntactic",
-                       result.status().ToString().c_str());
-          return 1;
-        }
-        const double ms =
-            std::chrono::duration<double, std::milli>(stop - start).count();
-        if (ms < best_ms[cost]) best_ms[cost] = ms;
-        if (rep == 0) dump[cost] = RenderResult(result.value());
-      }
-    }
+    PairedTiming timing;
+    const bool ran = TimePairs(
+        [&](int side) {
+          auto result = engines[side]->Execute(q.sql);
+          if (!result.ok()) {
+            std::fprintf(stderr, "PLAN SMOKE FAIL %s (%s): %s\n", q.name,
+                         side ? "analyzed" : "from-order",
+                         result.status().ToString().c_str());
+            return false;
+          }
+          if (dump[side].empty()) dump[side] = RenderResult(result.value());
+          return true;
+        },
+        &timing);
+    if (!ran) return 1;
     if (dump[0] != dump[1]) {
       std::fprintf(stderr,
-                   "PLAN SMOKE FAIL %s: cost-based result differs from "
-                   "syntactic\n",
+                   "PLAN SMOKE FAIL %s: analyzed result differs from "
+                   "FROM-order result\n",
                    q.name);
       return 1;
     }
-    const double speedup = best_ms[0] / best_ms[1];
-    const bool pass = best_ms[1] <= best_ms[0] * kSlowdownTolerance;
+    const double speedup = timing.speedup;
+    const bool pass = speedup * kSlowdownTolerance >= 1.0;
     if (!pass) ok = false;
     if (q.checked && speedup >= kRequiredSpeedup) ++improved;
     w.BeginObject();
     w.Key("query").String(q.name);
-    w.Key("syntactic_ms").Double(best_ms[0]);
-    w.Key("cost_based_ms").Double(best_ms[1]);
+    w.Key("from_order_ms").Double(timing.median_ms[0]);
+    w.Key("analyzed_ms").Double(timing.median_ms[1]);
     w.Key("speedup").Double(speedup);
     w.Key("checked").Bool(q.checked);
     w.Key("pass").Bool(pass);
@@ -604,31 +656,23 @@ int RunPlanSmoke() {
   for (const MineWorkload& load : workloads) {
     const mining::SimpleAlgorithm algs[2] = {
         mining::SimpleAlgorithm::kGidList, mining::SimpleAlgorithm::kAuto};
-    double best_ms[2] = {1e300, 1e300};
     size_t rule_count[2] = {0, 0};
-    // Reps are interleaved and the run order alternates so allocator state
-    // is shared fairly; the parity workloads compare an algorithm against
-    // itself and would otherwise show pure measurement drift.
-    for (int rep = 0; rep < 4; ++rep) {
-      for (int pos = 0; pos < 2; ++pos) {
-        const int a = (pos + rep) % 2;
-        auto start = std::chrono::steady_clock::now();
-        auto rules = mining::MineSimpleRules(load.db, load.support, 0.3,
-                                             mining::CardinalityConstraint{},
-                                             mining::CardinalityConstraint{},
-                                             algs[a], {});
-        auto stop = std::chrono::steady_clock::now();
-        if (!rules.ok()) {
-          std::fprintf(stderr, "PLAN SMOKE FAIL %s: %s\n", load.name,
-                       rules.status().ToString().c_str());
-          return 1;
-        }
-        rule_count[a] = rules.value().size();
-        const double ms =
-            std::chrono::duration<double, std::milli>(stop - start).count();
-        if (ms < best_ms[a]) best_ms[a] = ms;
-      }
-    }
+    PairedTiming timing;
+    const bool ran = TimePairs(
+        [&](int a) {
+          auto rules = mining::MineSimpleRules(
+              load.db, load.support, 0.3, mining::CardinalityConstraint{},
+              mining::CardinalityConstraint{}, algs[a], {});
+          if (!rules.ok()) {
+            std::fprintf(stderr, "PLAN SMOKE FAIL %s: %s\n", load.name,
+                         rules.status().ToString().c_str());
+            return false;
+          }
+          rule_count[a] = rules.value().size();
+          return true;
+        },
+        &timing);
+    if (!ran) return 1;
     if (rule_count[0] != rule_count[1]) {
       std::fprintf(stderr, "PLAN SMOKE FAIL %s: auto found %zu rules, "
                    "static found %zu\n",
@@ -638,20 +682,20 @@ int RunPlanSmoke() {
     const mining::SimpleAlgorithm resolved = mining::ChooseSimpleAlgorithm(
         load.db,
         mining::MinGroupCount(load.support, load.db.total_groups()));
-    const double speedup = best_ms[0] / best_ms[1];
+    const double speedup = timing.speedup;
     // When auto resolves to the static default the two runs execute the
     // same member and the timing delta is pure allocator/cache noise (up to
     // ~15% on the rule-heavy shapes); the timing gate only applies when the
     // selection actually diverged.
     const bool pass = resolved == mining::SimpleAlgorithm::kGidList ||
-                      best_ms[1] <= best_ms[0] * kSlowdownTolerance;
+                      speedup * kSlowdownTolerance >= 1.0;
     if (!pass) ok = false;
     if (load.checked && speedup >= kRequiredSpeedup) ++mine_improved;
     w.BeginObject();
     w.Key("workload").String(load.name);
     w.Key("auto_algorithm").String(mining::SimpleAlgorithmName(resolved));
-    w.Key("static_ms").Double(best_ms[0]);
-    w.Key("auto_ms").Double(best_ms[1]);
+    w.Key("static_ms").Double(timing.median_ms[0]);
+    w.Key("auto_ms").Double(timing.median_ms[1]);
     w.Key("speedup").Double(speedup);
     w.Key("rules").Int(static_cast<int64_t>(rule_count[0]));
     w.Key("checked").Bool(load.checked);

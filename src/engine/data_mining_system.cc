@@ -401,7 +401,6 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
   // at the same width as the core operator; phases are sequential on the one
   // shared pool, so this never oversubscribes.
   sql_engine_.set_num_threads(options.num_threads);
-  sql_engine_.set_cost_based(options.cost_based_sql);
   if (options.memory_limit != MiningOptions::kMemoryLimitInherit) {
     sql_engine_.set_memory_limit(options.memory_limit);
   }

@@ -35,13 +35,6 @@ struct MiningOptions {
   /// mined rules are bit-identical at every setting.
   int num_threads = 0;
 
-  /// Cost-based planning for the generated SQL (DESIGN.md §14): join
-  /// reordering, build-side choice, tiny-input row scan/filter fallback and
-  /// spill fan-out sizing from catalog statistics plus observed-cardinality
-  /// feedback. The mined rules are bit-identical either way (the fuzz
-  /// oracle's cost-based route pins it).
-  bool cost_based_sql = false;
-
   /// Memory budget in bytes for the SQL engine's operator working sets
   /// (DESIGN.md §13): >= 0 makes the buffering operators spill to disk past
   /// the budget (0 spills everything) and keeps the row scan/filter that

@@ -39,8 +39,7 @@ int Usage() {
       "                     [--no-reference] [--no-decoupled]\n"
       "                     [--no-metamorphic] [--no-alt-algorithm]\n"
       "                     [--no-dup-invariance] [--no-memory-budget]\n"
-      "                     [--memory-budget=BYTES]\n"
-      "                     [--no-cost-based] [--no-concurrent]\n"
+      "                     [--memory-budget=BYTES] [--no-concurrent]\n"
       "                     [--concurrent-sessions=N] [--no-oplog]\n"
       "       fuzz_minerule --replay=FILE_OR_DIR [--threads=N] ...\n"
       "       fuzz_minerule --minimize=FILE [--out=FILE] ...\n");
@@ -190,8 +189,6 @@ int main(int argc, char** argv) {
       options.oracle.run_duplicate_invariance = false;
     } else if (std::strcmp(arg, "--no-memory-budget") == 0) {
       options.oracle.run_memory_budget = false;
-    } else if (std::strcmp(arg, "--no-cost-based") == 0) {
-      options.oracle.run_cost_based = false;
     } else if (std::strcmp(arg, "--no-concurrent") == 0) {
       options.oracle.run_concurrent = false;
     } else if (std::strcmp(arg, "--no-oplog") == 0) {

@@ -891,36 +891,6 @@ Result<CaseOutcome> RunCase(const WorkloadSpec& spec,
     }
   }
 
-  // Route: identical bytes under cost-based SQL planning (DESIGN.md §14) —
-  // join reordering, build-side swaps and execution tuning in the generated
-  // queries — serial and at the sweep width.
-  if (options.run_cost_based) {
-    std::vector<int> widths = {1};
-    if (options.threads > 1) widths.push_back(options.threads);
-    for (int threads : widths) {
-      mr::MiningOptions cost_options = baseline_options;
-      cost_options.cost_based_sql = true;
-      cost_options.num_threads = threads;
-      MR_ASSIGN_OR_RETURN(PipelineRun run,
-                          RunPipeline(spec, statement, cost_options));
-      const std::string label =
-          threads == 1 ? "cost-based" : "cost-based@" + std::to_string(threads);
-      outcome.routes.push_back(label);
-      if (!run.ok) {
-        fail("cost-agreement",
-             label + " failed where the syntactic planner succeeded: " +
-                 run.error);
-      } else if (run.dump != baseline.dump) {
-        fail("cost-agreement",
-             label +
-                 " differs from the syntactic-planner baseline\n"
-                 "--- syntactic ---\n" +
-                 Truncate(baseline.dump) + "\n--- cost-based ---\n" +
-                 Truncate(run.dump));
-      }
-    }
-  }
-
   // Route: the same case replayed through K server sessions racing over
   // one shared catalog (DESIGN.md §15). Every session snapshot-reads the
   // source, then runs the same MINE RULE; session 1 then INSERTs one row

@@ -26,11 +26,6 @@ struct OracleOptions {
   bool run_memory_budget = true;
   /// The budget the memory-budget route applies, in bytes.
   int64_t memory_budget_bytes = 1024;
-  /// Re-runs the pipeline with cost-based SQL planning (DESIGN.md §14) —
-  /// join reordering, build-side swaps, execution tuning — at 1 and
-  /// `threads` workers; the catalog dump must match the syntactic-planner
-  /// baseline byte for byte.
-  bool run_cost_based = true;
   /// Replays the case through `concurrent_sessions` server sessions racing
   /// over one shared catalog (DESIGN.md §15): every session reads the
   /// source then runs the same MINE RULE; the final output tables must

@@ -389,7 +389,6 @@ Status Session::ExecuteSql(std::string_view statement,
   // Plain SQL: apply the session's engine-level options, execute, and
   // append this statement's own mr_runs row.
   sql_.set_num_threads(options_.num_threads);
-  sql_.set_cost_based(options_.cost_based_sql);
   if (options_.memory_limit != mr::MiningOptions::kMemoryLimitInherit) {
     sql_.set_memory_limit(options_.memory_limit);
   }

@@ -93,7 +93,7 @@ class Session {
   const std::string& name() const { return name_; }
 
   /// Per-session execution options, applied to both MINE RULE runs and
-  /// (where applicable: threads, cost_based, memory_limit)
+  /// (where applicable: threads, memory_limit)
   /// plain SQL. Mutating them never affects other sessions.
   mr::MiningOptions* options() { return &options_; }
 

@@ -80,17 +80,6 @@ std::string ApplySetCommand(Session* session, const std::string& line) {
   const std::string name = ToLower(parts[1]);
   const std::string& value = parts[2];
   mr::MiningOptions* options = session->options();
-  auto on_off = [&](bool* flag) -> std::string {
-    if (value == "on") {
-      *flag = true;
-    } else if (value == "off") {
-      *flag = false;
-    } else {
-      return "ERR expected on|off for \\set " + name + ", got '" + value +
-             "'";
-    }
-    return "OK";
-  };
   // Values outside [min, max] are rejected like non-integers, so a narrower
   // option never truncates silently.
   auto integer = [&](auto apply,
@@ -105,7 +94,6 @@ std::string ApplySetCommand(Session* session, const std::string& line) {
     apply(parsed);
     return "OK";
   };
-  if (name == "cost_based") return on_off(&options->cost_based_sql);
   if (name == "threads") {
     return integer(
         [&](int64_t v) { options->num_threads = static_cast<int>(v); },

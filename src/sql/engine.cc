@@ -67,7 +67,6 @@ ExecContext SqlEngine::MakeContext() {
   ctx.vectorized = memory_limit_ < 0;
   ctx.memory_limit = memory_limit_;
   ctx.spill_dir = spill_dir_;
-  ctx.cost_based = cost_based_;
   ctx.stats = &statistics_;
   ctx.feedback = &feedback_;
   return ctx;
@@ -321,11 +320,10 @@ Result<QueryResult> SqlEngine::ExecuteExplain(ExplainStmt* stmt) {
 }
 
 Result<QueryResult> SqlEngine::ExecuteAnalyze(AnalyzeStmt* stmt) {
-  // ANALYZE [table]: force a full statistics rebuild for one table or, with
-  // no argument, every catalog table. affected_rows reports the number of
-  // tables analyzed. Statistics also collect lazily during cost-based
-  // planning; ANALYZE exists for explicit refresh and for warming the
-  // mr_table_stats view.
+  // ANALYZE [table]: full statistics rebuild for one table or, with no
+  // argument, every catalog table; affected_rows reports the number of
+  // tables analyzed. Only ANALYZE creates statistics, and only FROM lists
+  // of analyzed tables are planned from them (DESIGN.md §14).
   QueryResult result;
   std::vector<std::string> names;
   if (stmt->table.empty()) {
@@ -335,7 +333,7 @@ Result<QueryResult> SqlEngine::ExecuteAnalyze(AnalyzeStmt* stmt) {
   }
   for (const std::string& name : names) {
     MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, catalog_->GetTable(name));
-    statistics_.Analyze(*table);
+    statistics_.Analyze(table);
     ++result.affected_rows;
   }
   return result;

@@ -88,19 +88,10 @@ class SqlEngine {
   void set_spill_dir(std::string dir) { spill_dir_ = std::move(dir); }
   const std::string& spill_dir() const { return spill_dir_; }
 
-  /// Cost-based planning (DESIGN.md §14). When on, the planner estimates
-  /// cardinalities from catalog statistics (collected lazily, refreshed by
-  /// ANALYZE) plus observed-cardinality feedback from earlier executions,
-  /// and uses them to reorder joins, pick the hash-join build side, fall
-  /// back to the row scan/filter on tiny inputs and size the spill
-  /// fan-out. Off (the default) planning stays purely syntactic. Results
-  /// are bit-identical either way — the fuzz oracle's cost-based route
-  /// pins it.
-  void set_cost_based(bool on) { cost_based_ = on; }
-  bool cost_based() const { return cost_based_; }
-
-  /// The engine-owned statistics catalog and plan feedback store. Exposed
-  /// for tests and for mr_table_stats materialization.
+  /// The engine-owned statistics catalog and plan feedback store. ANALYZE
+  /// fills the catalog; the planner plans from statistics only over tables
+  /// it analyzed (DESIGN.md §14). Exposed for tests and for mr_table_stats
+  /// materialization.
   StatisticsCatalog* statistics() { return &statistics_; }
   PlanFeedback* feedback() { return &feedback_; }
 
@@ -131,7 +122,6 @@ class SqlEngine {
   int num_threads_ = 1;
   int64_t memory_limit_ = -1;  // < 0 disables the budget
   std::string spill_dir_;      // empty means $TMPDIR or /tmp
-  bool cost_based_ = false;
   StatisticsCatalog statistics_;
   PlanFeedback feedback_;
 };

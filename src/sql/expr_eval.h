@@ -28,8 +28,8 @@ struct ExecContext {
   /// When true the planner scans and filters base tables columnar
   /// (DESIGN.md §12). The engine sets it per statement to
   /// `memory_limit < 0`: a budget keeps the row TableScan/Filter that feed
-  /// the spill operators. Cost mode also clears it on tiny inputs. Results
-  /// are bit-identical either way; only the execution strategy changes.
+  /// the spill operators. Results are bit-identical either way; only the
+  /// execution strategy changes.
   bool vectorized = false;
 
   /// Memory budget in bytes for operator working sets (DESIGN.md §13).
@@ -46,22 +46,16 @@ struct ExecContext {
   /// outlive the process even on a crash.
   std::string spill_dir;
 
-  /// Cost-based planning (DESIGN.md §14). When true the planner consults
-  /// `stats` and `feedback` to choose join order, hash-join build side,
-  /// the row scan/filter on tiny inputs and the spill fan-out, and annotates
-  /// EXPLAIN with estimates. Off (the default), planning is purely
-  /// syntactic — plan shapes and EXPLAIN output are unchanged. Either way
-  /// the delivered results are bit-identical (the fuzz oracle pins this).
-  bool cost_based = false;
-
   /// Catalog statistics and observed-cardinality feedback, owned by the
-  /// engine; may be null (planner falls back to syntactic planning).
+  /// engine. The planner plans a FROM list from them only when ANALYZE
+  /// created statistics for every entry (DESIGN.md §14); null `stats`
+  /// keeps every plan in FROM order.
   class StatisticsCatalog* stats = nullptr;
   class PlanFeedback* feedback = nullptr;
 
   /// Spill partition fan-out for the budgeted operators. The default is the
-  /// historical kSpillPartitions; under cost-based planning the planner
-  /// sizes it from estimated input bytes vs the budget. Any value yields
+  /// historical kSpillPartitions; over analyzed tables the planner sizes
+  /// it from their collected bytes vs the budget. Any value yields
   /// bit-identical results — every spill path restores output order from
   /// recorded input indexes, independent of partitioning (DESIGN.md §13).
   size_t spill_partitions = 16;

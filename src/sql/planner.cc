@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 
 #include "common/string_util.h"
 #include "sql/parser.h"
@@ -125,8 +126,9 @@ void RewriteMatches(ExprPtr* expr, const std::vector<const Expr*>& targets,
 }
 
 // ---------------------------------------------------------------------------
-// Cost-based planning helpers (DESIGN.md §14). All estimates are advisory —
-// they steer plan shape only; results are bit-identical regardless.
+// Planning-from-statistics helpers (DESIGN.md §14). All estimates are
+// advisory — they steer plan shape only; results are bit-identical
+// regardless.
 // ---------------------------------------------------------------------------
 
 /// Selectivity of a predicate the model knows nothing about.
@@ -141,9 +143,6 @@ constexpr double kSwapMinProbeRows = 1024.0;
 /// A reordered join must beat the canonical order by this factor to cover
 /// the hidden-rowid restore sort it requires.
 constexpr double kReorderMargin = 1.2;
-/// Below this many total source rows, columnar batching costs more than it
-/// saves; cost mode falls back to the row scan/filter.
-constexpr int64_t kVectorizedMinRows = 4096;
 /// Estimates never collapse to zero — a zero would erase every downstream
 /// product.
 constexpr double kMinEstRows = 0.05;
@@ -420,72 +419,95 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
 
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(std::move(stmt->where), &conjuncts);
-
-  // Cost-based FROM/WHERE planning (DESIGN.md §14): only over plain base
-  // tables with NEXTVAL-free predicates; anything else — views, subqueries,
-  // system tables, sequence-advancing filters — keeps the purely syntactic
-  // path below.
-  if (ctx_->cost_based && ctx_->stats != nullptr && nodes.size() <= 64) {
-    bool eligible = true;
-    for (const TableRef& ref : stmt->from) {
-      if (ref.kind != TableRef::Kind::kBase || !catalog_->HasTable(ref.name)) {
-        eligible = false;
-        break;
-      }
-    }
-    for (const ExprPtr& c : conjuncts) {
-      if (!eligible) break;
-      if (ContainsNextVal(*c)) eligible = false;
-    }
-    if (eligible) {
-      return PlanFromWhereCostBased(stmt, std::move(nodes), std::move(scopes),
-                                    std::move(conjuncts));
+  for (const ExprPtr& c : conjuncts) {
+    if (ContainsAggregate(*c)) {
+      return Status::SemanticError("aggregate not allowed in WHERE: " +
+                                   c->ToSql());
     }
   }
 
+  // Planning from statistics (DESIGN.md §14) needs every FROM entry to be a
+  // base table ANALYZE saw, and NEXTVAL-free predicates; anything else —
+  // unanalyzed or recreated tables, views, subqueries, system tables,
+  // sequence-advancing filters — is planned in FROM order.
+  std::vector<std::shared_ptr<Table>> tables;
+  std::vector<const TableStats*> table_stats;
+  if (nodes.size() <= 64 && AnalyzedFrom(stmt->from, &tables, &table_stats) &&
+      std::none_of(conjuncts.begin(), conjuncts.end(),
+                   [](const ExprPtr& c) { return ContainsNextVal(*c); })) {
+    return PlanFromWhereCostBased(std::move(nodes), std::move(scopes),
+                                  std::move(conjuncts), tables, table_stats);
+  }
+
+  std::vector<size_t> order(nodes.size());
+  std::iota(order.begin(), order.end(), size_t{0});
   std::vector<bool> applied(conjuncts.size(), false);
+  return BuildLeftDeep(std::move(nodes), std::move(scopes), order,
+                       &conjuncts, std::move(applied), JoinHooks{});
+}
 
-  ExecNodePtr current = std::move(nodes[0]);
-  BindScope scope = std::move(scopes[0]);
+bool Planner::AnalyzedFrom(const std::vector<TableRef>& from,
+                           std::vector<std::shared_ptr<Table>>* tables,
+                           std::vector<const TableStats*>* table_stats) {
+  if (ctx_->stats == nullptr) return false;
+  for (const TableRef& ref : from) {
+    if (ref.kind != TableRef::Kind::kBase || !catalog_->HasTable(ref.name)) {
+      return false;
+    }
+    Result<std::shared_ptr<Table>> table = catalog_->GetTable(ref.name);
+    if (!table.ok()) return false;
+    const TableStats* stats = ctx_->stats->Lookup(**table);
+    if (stats == nullptr) return false;
+    tables->push_back(std::move(table).value());
+    table_stats->push_back(stats);
+  }
+  return true;
+}
 
+Result<std::pair<ExecNodePtr, BindScope>> Planner::BuildLeftDeep(
+    std::vector<ExecNodePtr> inputs, std::vector<BindScope> scopes,
+    const std::vector<size_t>& order, std::vector<ExprPtr>* conjuncts,
+    std::vector<bool> applied, const JoinHooks& hooks) {
+  std::vector<ExprPtr>& conj = *conjuncts;
+  ExecNodePtr current = std::move(inputs[order[0]]);
+  BindScope scope = std::move(scopes[order[0]]);
+
+  // Every conjunct becomes a filter at the lowest level where all its
+  // columns are visible.
   auto apply_ready_filters = [&]() -> Status {
     std::vector<ExprPtr> ready;
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
-      if (applied[c]) continue;
-      if (ContainsAggregate(*conjuncts[c])) {
-        return Status::SemanticError("aggregate not allowed in WHERE: " +
-                                     conjuncts[c]->ToSql());
-      }
-      if (ExprBindableIn(*conjuncts[c], scope)) {
-        MR_RETURN_IF_ERROR(BindExpr(conjuncts[c].get(), scope, false));
-        ready.push_back(std::move(conjuncts[c]));
-        applied[c] = true;
-      }
+    for (size_t c = 0; c < conj.size(); ++c) {
+      if (applied[c] || !ExprBindableIn(*conj[c], scope)) continue;
+      MR_RETURN_IF_ERROR(BindExpr(conj[c].get(), scope, false));
+      ready.push_back(std::move(conj[c]));
+      applied[c] = true;
     }
     if (ExprPtr pred = AndTogether(std::move(ready))) {
       current = MakeFilterNode(std::move(current), std::move(pred), ctx_);
+      if (hooks.placed) hooks.placed(current.get(), false);
     }
     return Status::OK();
   };
 
   MR_RETURN_IF_ERROR(apply_ready_filters());
 
-  for (size_t i = 1; i < nodes.size(); ++i) {
-    // Harvest equi-join keys between the accumulated left side and table i.
+  for (size_t k = 1; k < order.size(); ++k) {
+    const size_t t = order[k];
+    // Harvest equi-join keys between the accumulated left side and input t.
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
-      if (applied[c] || conjuncts[c]->kind != ExprKind::kBinary) continue;
-      auto* bin = static_cast<BinaryExpr*>(conjuncts[c].get());
+    for (size_t c = 0; c < conj.size(); ++c) {
+      if (applied[c] || conj[c]->kind != ExprKind::kBinary) continue;
+      auto* bin = static_cast<BinaryExpr*>(conj[c].get());
       if (bin->op != BinaryOp::kEq) continue;
       ExprPtr* left_side = nullptr;
       ExprPtr* right_side = nullptr;
       if (ExprBindableIn(*bin->lhs, scope) &&
-          ExprBindableIn(*bin->rhs, scopes[i])) {
+          ExprBindableIn(*bin->rhs, scopes[t])) {
         left_side = &bin->lhs;
         right_side = &bin->rhs;
       } else if (ExprBindableIn(*bin->rhs, scope) &&
-                 ExprBindableIn(*bin->lhs, scopes[i])) {
+                 ExprBindableIn(*bin->lhs, scopes[t])) {
         left_side = &bin->rhs;
         right_side = &bin->lhs;
       } else {
@@ -494,63 +516,49 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
       // A key usable on both sides (e.g. a literal) is a filter, not a join
       // key; skip it here and let apply_ready_filters handle it.
       if (ExprBindableIn(**right_side, scope) ||
-          ExprBindableIn(**left_side, scopes[i])) {
+          ExprBindableIn(**left_side, scopes[t])) {
         continue;
       }
       MR_RETURN_IF_ERROR(BindExpr(left_side->get(), scope, false));
-      MR_RETURN_IF_ERROR(BindExpr(right_side->get(), scopes[i], false));
+      MR_RETURN_IF_ERROR(BindExpr(right_side->get(), scopes[t], false));
       left_keys.push_back(std::move(*left_side));
       right_keys.push_back(std::move(*right_side));
       applied[c] = true;
     }
 
+    const bool build_left = hooks.before_join && hooks.before_join(t);
     if (!left_keys.empty()) {
       current = std::make_unique<HashJoinNode>(
-          std::move(current), std::move(nodes[i]), std::move(left_keys),
-          std::move(right_keys), nullptr, ctx_);
+          std::move(current), std::move(inputs[t]), std::move(left_keys),
+          std::move(right_keys), nullptr, ctx_, build_left);
     } else {
       current = std::make_unique<NestedLoopJoinNode>(
-          std::move(current), std::move(nodes[i]), nullptr, ctx_);
+          std::move(current), std::move(inputs[t]), nullptr, ctx_);
     }
-    scope.Append(scopes[i]);
+    if (hooks.placed) hooks.placed(current.get(), true);
+    scope.Append(scopes[t]);
     MR_RETURN_IF_ERROR(apply_ready_filters());
+    if (hooks.after_join) hooks.after_join(current.get());
   }
 
-  for (size_t c = 0; c < conjuncts.size(); ++c) {
+  for (size_t c = 0; c < conj.size(); ++c) {
     if (!applied[c]) {
       // Produce the precise binding error.
-      MR_RETURN_IF_ERROR(BindExpr(conjuncts[c].get(), scope, false));
+      MR_RETURN_IF_ERROR(BindExpr(conj[c].get(), scope, false));
       return Status::Internal("conjunct bindable but not applied: " +
-                              conjuncts[c]->ToSql());
+                              conj[c]->ToSql());
     }
   }
   return std::make_pair(std::move(current), std::move(scope));
 }
 
 Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
-    SelectStmt* stmt, std::vector<ExecNodePtr> nodes,
-    std::vector<BindScope> scopes, std::vector<ExprPtr> conjuncts) {
+    std::vector<ExecNodePtr> nodes, std::vector<BindScope> scopes,
+    std::vector<ExprPtr> conjuncts,
+    const std::vector<std::shared_ptr<Table>>& tables,
+    const std::vector<const TableStats*>& table_stats) {
   const size_t n = nodes.size();
-  StatisticsCatalog& stats_catalog = *ctx_->stats;
   PlanFeedback* feedback = ctx_->feedback;
-
-  // Aggregates in WHERE are a semantic error regardless of plan shape; the
-  // syntactic path reports them from apply_ready_filters, so check up front
-  // here before any conjunct is pushed down.
-  for (const ExprPtr& c : conjuncts) {
-    if (ContainsAggregate(*c)) {
-      return Status::SemanticError("aggregate not allowed in WHERE: " +
-                                   c->ToSql());
-    }
-  }
-
-  // --- Per-table statistics ------------------------------------------------
-  std::vector<std::shared_ptr<Table>> tables(n);
-  std::vector<const TableStats*> table_stats(n);
-  for (size_t i = 0; i < n; ++i) {
-    MR_ASSIGN_OR_RETURN(tables[i], catalog_->GetTable(stmt->from[i].name));
-    table_stats[i] = stats_catalog.GetOrCollect(*tables[i]);
-  }
 
   // --- Conjunct classification ---------------------------------------------
   // kLocal: bindable against a single table — pushed onto its scan.
@@ -845,97 +853,36 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
     pipes[i] = std::move(node);
   }
 
+  // Left-deep build in the chosen order; the hooks replay the order search's
+  // steps to annotate each node with estimates and record feedback points.
   StepState run = init_state(order[0]);
-  ExecNodePtr current = std::move(pipes[order[0]]);
-  BindScope scope = pipe_scopes[order[0]];
-
-  auto apply_ready_filters = [&]() -> Status {
-    std::vector<ExprPtr> ready;
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
-      if (applied[c] || conjuncts[c] == nullptr) continue;
-      if (ExprBindableIn(*conjuncts[c], scope)) {
-        MR_RETURN_IF_ERROR(BindExpr(conjuncts[c].get(), scope, false));
-        ready.push_back(std::move(conjuncts[c]));
-        applied[c] = true;
-      }
-    }
-    if (ExprPtr pred = AndTogether(std::move(ready))) {
-      current = MakeFilterNode(std::move(current), std::move(pred), ctx_);
-      current->SetPlanEstimates(run.est, run.est);
-    }
-    return Status::OK();
-  };
-  MR_RETURN_IF_ERROR(apply_ready_filters());
-
-  for (size_t k = 1; k < n; ++k) {
-    const size_t t = order[k];
-    std::vector<ExprPtr> left_keys;
-    std::vector<ExprPtr> right_keys;
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
-      if (applied[c] || conjuncts[c] == nullptr ||
-          conjuncts[c]->kind != ExprKind::kBinary) {
-        continue;
-      }
-      auto* bin = static_cast<BinaryExpr*>(conjuncts[c].get());
-      if (bin->op != BinaryOp::kEq) continue;
-      ExprPtr* left_side = nullptr;
-      ExprPtr* right_side = nullptr;
-      if (ExprBindableIn(*bin->lhs, scope) &&
-          ExprBindableIn(*bin->rhs, pipe_scopes[t])) {
-        left_side = &bin->lhs;
-        right_side = &bin->rhs;
-      } else if (ExprBindableIn(*bin->rhs, scope) &&
-                 ExprBindableIn(*bin->lhs, pipe_scopes[t])) {
-        left_side = &bin->rhs;
-        right_side = &bin->lhs;
-      } else {
-        continue;
-      }
-      if (ExprBindableIn(**right_side, scope) ||
-          ExprBindableIn(**left_side, pipe_scopes[t])) {
-        continue;
-      }
-      MR_RETURN_IF_ERROR(BindExpr(left_side->get(), scope, false));
-      MR_RETURN_IF_ERROR(BindExpr(right_side->get(), pipe_scopes[t], false));
-      left_keys.push_back(std::move(*left_side));
-      right_keys.push_back(std::move(*right_side));
-      applied[c] = true;
-    }
-
+  double join_cost = 0.0;
+  JoinHooks hooks;
+  hooks.before_join = [&](size_t t) {
     const double left_est = run.est;
     advance(&run, t);
-    if (!left_keys.empty()) {
-      // Build over the smaller input: the canonical node builds over its
-      // right child, so a much larger right input gets a build-side swap.
-      // The swapped mode emits the canonical output order exactly and is
-      // honored only on the pure unbudgeted path.
-      const bool swap = ctx_->memory_limit < 0 &&
-                        eff_rows[t] >= kSwapMinProbeRows &&
-                        left_est * kSwapBuildRatio < eff_rows[t];
-      current = std::make_unique<HashJoinNode>(
-          std::move(current), std::move(pipes[t]), std::move(left_keys),
-          std::move(right_keys), nullptr, ctx_, swap);
-    } else {
-      current = std::make_unique<NestedLoopJoinNode>(
-          std::move(current), std::move(pipes[t]), nullptr, ctx_);
-    }
-    current->SetPlanEstimates(run.est, left_est + eff_rows[t] + run.est);
-    scope.Append(pipe_scopes[t]);
-    MR_RETURN_IF_ERROR(apply_ready_filters());
-    if (collect_feedback) {
+    join_cost = left_est + eff_rows[t] + run.est;
+    // Build over the smaller input: the canonical node builds over its
+    // right child, so a much larger right input gets a build-side swap.
+    // The swapped mode emits the canonical output order exactly and is
+    // honored only on the pure unbudgeted path.
+    return ctx_->memory_limit < 0 && eff_rows[t] >= kSwapMinProbeRows &&
+           left_est * kSwapBuildRatio < eff_rows[t];
+  };
+  hooks.placed = [&](ExecNode* node, bool join) {
+    node->SetPlanEstimates(run.est, join ? join_cost : run.est);
+  };
+  if (collect_feedback) {
+    hooks.after_join = [&](const ExecNode* top) {
       feedback_points_.emplace_back(set_fingerprint(run.members, run.preds),
-                                    current.get());
-    }
+                                    top);
+    };
   }
-
-  for (size_t c = 0; c < conjuncts.size(); ++c) {
-    if (!applied[c] && conjuncts[c] != nullptr) {
-      // Produce the precise binding error.
-      MR_RETURN_IF_ERROR(BindExpr(conjuncts[c].get(), scope, false));
-      return Status::Internal("conjunct bindable but not applied: " +
-                              conjuncts[c]->ToSql());
-    }
-  }
+  MR_ASSIGN_OR_RETURN(auto built,
+                      BuildLeftDeep(std::move(pipes), pipe_scopes, order,
+                                    &conjuncts, std::move(applied), hooks));
+  ExecNodePtr current = std::move(built.first);
+  BindScope scope = std::move(built.second);
 
   if (reorder) {
     // Restore the canonical row order (sort by the hidden row numbers in
@@ -990,36 +937,26 @@ Result<PlannedSelect> Planner::Plan(SelectStmt* stmt) {
 }
 
 void Planner::TuneExecution(SelectStmt* stmt) {
-  if (!ctx_->cost_based || ctx_->stats == nullptr) return;
-  int64_t total_rows = 0;
-  int64_t max_bytes = 0;
-  for (const TableRef& ref : stmt->from) {
-    if (ref.kind != TableRef::Kind::kBase || !catalog_->HasTable(ref.name)) {
-      return;  // unknown inputs: leave the execution knobs alone
-    }
-    Result<std::shared_ptr<Table>> table = catalog_->GetTable(ref.name);
-    if (!table.ok()) return;
-    const TableStats* stats = ctx_->stats->GetOrCollect(**table);
-    total_rows += stats->row_count;
-    max_bytes = std::max(max_bytes, stats->total_row_bytes);
-  }
-  // Columnar scan/filter has per-batch overhead that tiny inputs never earn
-  // back; results are bit-identical either way, so flip freely.
-  if (ctx_->vectorized && total_rows < kVectorizedMinRows) {
-    ctx_->vectorized = false;
+  std::vector<std::shared_ptr<Table>> tables;
+  std::vector<const TableStats*> table_stats;
+  if (ctx_->memory_limit < 0 ||
+      !AnalyzedFrom(stmt->from, &tables, &table_stats)) {
+    return;
   }
   // Spill fan-out: enough partitions that one partition of the largest
   // table fits the budget, within [16, 64]. Partitioning never affects
   // results — every spill path restores output order from recorded input
   // indexes (DESIGN.md §13).
-  if (ctx_->memory_limit >= 0) {
-    const int64_t budget = std::max<int64_t>(ctx_->memory_limit, 1);
-    size_t fan = 16;
-    while (fan < 64 && max_bytes / static_cast<int64_t>(fan) > budget) {
-      fan *= 2;
-    }
-    ctx_->spill_partitions = fan;
+  int64_t max_bytes = 0;
+  for (const TableStats* stats : table_stats) {
+    max_bytes = std::max(max_bytes, stats->total_row_bytes);
   }
+  const int64_t budget = std::max<int64_t>(ctx_->memory_limit, 1);
+  size_t fan = 16;
+  while (fan < 64 && max_bytes / static_cast<int64_t>(fan) > budget) {
+    fan *= 2;
+  }
+  ctx_->spill_partitions = fan;
 }
 
 Result<PlannedSelect> Planner::PlanImpl(SelectStmt* stmt, int depth) {

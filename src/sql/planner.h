@@ -1,6 +1,7 @@
 #ifndef MINERULE_SQL_PLANNER_H_
 #define MINERULE_SQL_PLANNER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -14,15 +15,18 @@
 
 namespace minerule::sql {
 
+struct TableStats;  // sql/statistics.h
+
 /// A planned SELECT: an executable node tree plus its output schema.
 struct PlannedSelect {
   ExecNodePtr node;
   Schema out_schema;
 
-  /// Cost-based mode only: (fingerprint, node) pairs whose observed row
-  /// counts the engine records into PlanFeedback after the plan ran to
+  /// Planned from statistics only: (fingerprint, node) pairs whose observed
+  /// row counts the engine records into PlanFeedback after the plan ran to
   /// completion. Empty when the statement carries a LIMIT anywhere (early
-  /// termination would record undercounts) or cost-based planning is off.
+  /// termination would record undercounts) or no FROM list was planned
+  /// from statistics.
   std::vector<std::pair<std::string, const ExecNode*>> feedback;
 };
 
@@ -37,15 +41,17 @@ struct PlannedSelect {
 /// preprocessor's multi-way encoding joins (Q4) and the elementary-rule
 /// self-join (Q8) run in roughly linear time.
 ///
-/// Under ExecContext::cost_based (DESIGN.md §14) the planner additionally
-/// estimates cardinalities from catalog statistics and plan feedback and
-/// uses them to (a) push pure single-table conjuncts onto their scans,
-/// (b) reorder joins when a cheaper left-deep order exists — restoring the
-/// canonical output order afterwards through hidden per-table row numbers
-/// and a final sort, (c) build each hash join over its smaller input, and
-/// (d) fall back to row-at-a-time execution on tiny inputs and size the
-/// spill fan-out. Every one of these choices is result-transparent: the
-/// fuzz oracle byte-compares cost-based runs against the syntactic plan.
+/// One rule decides whether a FROM list is planned from statistics
+/// (DESIGN.md §14): every entry must be a base table whose statistics
+/// ANALYZE created on that same table object. Then the planner estimates
+/// cardinalities from those statistics and plan feedback and uses them to
+/// (a) push pure single-table conjuncts onto their scans, (b) reorder joins
+/// when a cheaper left-deep order exists — restoring the canonical output
+/// order afterwards through hidden per-table row numbers and a final sort,
+/// (c) build each hash join over its smaller input, and (d) size the spill
+/// fan-out. Every one of these choices is result-transparent. Any other
+/// FROM list — generated queries over freshly created scratch tables,
+/// views, subqueries — keeps the FROM-order plan above.
 class Planner {
  public:
   Planner(Catalog* catalog, ExecContext* ctx)
@@ -65,14 +71,43 @@ class Planner {
   Result<std::pair<ExecNodePtr, BindScope>> PlanFromWhere(SelectStmt* stmt,
                                                           int depth);
 
-  /// Cost-based FROM/WHERE planning; preconditions checked by the caller
-  /// (every FROM entry is a base table, no conjunct contains NEXTVAL).
-  Result<std::pair<ExecNodePtr, BindScope>> PlanFromWhereCostBased(
-      SelectStmt* stmt, std::vector<ExecNodePtr> nodes,
-      std::vector<BindScope> scopes, std::vector<ExprPtr> conjuncts);
+  /// Per-step hooks through which PlanFromWhereCostBased annotates
+  /// BuildLeftDeep's nodes; the FROM-order plan leaves them empty.
+  struct JoinHooks {
+    /// Before input `t` joins in; true builds the hash table over the left
+    /// (accumulated) input instead of input `t`.
+    std::function<bool(size_t t)> before_join;
+    /// On each node placed: a join, or a filter of conjuncts made ready.
+    std::function<void(ExecNode* node, bool join)> placed;
+    /// After input `t` joined and the filters it made ready were placed.
+    std::function<void(const ExecNode* top)> after_join;
+  };
 
-  /// Cost-mode execution tuning decided once per top-level statement:
-  /// row scan/filter fallback on tiny inputs and spill fan-out sizing.
+  /// The one left-deep build: joins `inputs` in `order`, harvesting
+  /// equi-join keys between the accumulated side and each incoming input
+  /// (hash join; nested loop without keys), and places every conjunct not
+  /// yet `applied` as a filter at the lowest level where it binds.
+  Result<std::pair<ExecNodePtr, BindScope>> BuildLeftDeep(
+      std::vector<ExecNodePtr> inputs, std::vector<BindScope> scopes,
+      const std::vector<size_t>& order, std::vector<ExprPtr>* conjuncts,
+      std::vector<bool> applied, const JoinHooks& hooks);
+
+  /// True when every FROM entry is a base table with ANALYZE-created
+  /// statistics (the planner's rule); fills the tables and their stats.
+  bool AnalyzedFrom(const std::vector<TableRef>& from,
+                    std::vector<std::shared_ptr<Table>>* tables,
+                    std::vector<const TableStats*>* table_stats);
+
+  /// FROM/WHERE planning from statistics; the caller checked the rule and
+  /// that no conjunct contains NEXTVAL or an aggregate.
+  Result<std::pair<ExecNodePtr, BindScope>> PlanFromWhereCostBased(
+      std::vector<ExecNodePtr> nodes, std::vector<BindScope> scopes,
+      std::vector<ExprPtr> conjuncts,
+      const std::vector<std::shared_ptr<Table>>& tables,
+      const std::vector<const TableStats*>& table_stats);
+
+  /// Spill fan-out sizing, decided once per top-level statement when its
+  /// FROM list is analyzed and a memory budget is set.
   void TuneExecution(SelectStmt* stmt);
 
   Catalog* catalog_;

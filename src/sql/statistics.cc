@@ -100,29 +100,36 @@ void StatisticsCatalog::FoldRows(const Table& table, size_t begin, size_t end,
   entry->rows_covered = static_cast<int64_t>(end);
 }
 
-const TableStats* StatisticsCatalog::GetOrCollect(const Table& table) {
-  Entry& entry = entries_[table.name()];
-  if (entry.rows_covered > 0 || entry.stats.epoch > 0) {
-    if (entry.version == table.version()) return &entry.stats;
-    if (entry.shape_version == table.shape_version() &&
-        entry.rows_covered <= static_cast<int64_t>(table.num_rows())) {
-      // Append-only growth since collection: fold just the new suffix.
-      FoldRows(table, static_cast<size_t>(entry.rows_covered),
-               table.num_rows(), &entry);
-      return &entry.stats;
-    }
+void StatisticsCatalog::Rebuild(const Table& table, Entry* entry) {
+  TableStats fresh;
+  fresh.epoch = entry->stats.epoch;  // epochs keep counting across rebuilds
+  entry->stats = std::move(fresh);
+  FoldRows(table, 0, table.num_rows(), entry);
+}
+
+const TableStats* StatisticsCatalog::Lookup(const Table& table) {
+  auto it = entries_.find(table.name());
+  if (it == entries_.end() || it->second.table.lock().get() != &table) {
+    return nullptr;
   }
-  entry = Entry{};
-  FoldRows(table, 0, table.num_rows(), &entry);
+  Entry& entry = it->second;
+  if (entry.version == table.version()) return &entry.stats;
+  if (entry.shape_version == table.shape_version() &&
+      entry.rows_covered <= static_cast<int64_t>(table.num_rows())) {
+    // Append-only growth since collection: fold just the new suffix.
+    FoldRows(table, static_cast<size_t>(entry.rows_covered), table.num_rows(),
+             &entry);
+  } else {
+    Rebuild(table, &entry);
+  }
   return &entry.stats;
 }
 
-const TableStats* StatisticsCatalog::Analyze(const Table& table) {
-  Entry& entry = entries_[table.name()];
-  const int64_t prior_epoch = entry.stats.epoch;
-  entry = Entry{};
-  entry.stats.epoch = prior_epoch;  // epochs keep counting across rebuilds
-  FoldRows(table, 0, table.num_rows(), &entry);
+const TableStats* StatisticsCatalog::Analyze(
+    const std::shared_ptr<const Table>& table) {
+  Entry& entry = entries_[table->name()];
+  entry.table = table;
+  Rebuild(*table, &entry);
   return &entry.stats;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -84,30 +85,31 @@ struct TableStats {
   }
 };
 
-/// Cache of per-table statistics owned by the SqlEngine. Entries are keyed
-/// by table name and validated against the table's modification epochs:
-/// identical version -> cached entry is exact; identical shape_version with
-/// more rows -> only appends happened since collection, so the new suffix is
-/// folded into the sketches incrementally; anything else -> full rebuild.
-/// ANALYZE forces the rebuild path.
+/// Per-table statistics owned by the SqlEngine (DESIGN.md §14). Only ANALYZE
+/// creates an entry; planning merely looks entries up. An entry belongs to
+/// the table object ANALYZE saw, so a dropped-and-recreated table of the
+/// same name has none until it is analyzed again. Lookups keep an entry
+/// current against the table's modification epochs: identical version ->
+/// the entry is exact; identical shape_version with more rows -> only
+/// appends happened since, so the new suffix is folded into the sketches
+/// incrementally; anything else -> full rebuild.
 class StatisticsCatalog {
  public:
-  /// Up-to-date statistics for `table`; never null. The pointer stays valid
-  /// until the next collection touching the same table.
-  const TableStats* GetOrCollect(const Table& table);
+  /// Up-to-date statistics for `table`, or null when ANALYZE never saw this
+  /// table object. The pointer stays valid until the next Lookup or
+  /// Analyze touching the same table name.
+  const TableStats* Lookup(const Table& table);
 
-  /// Full rebuild regardless of cache state (the ANALYZE statement).
-  const TableStats* Analyze(const Table& table);
+  /// Full rebuild regardless of cache state (the ANALYZE statement); the
+  /// entry is bound to `table`'s object from here on.
+  const TableStats* Analyze(const std::shared_ptr<const Table>& table);
 
-  /// Already-collected entries, name-sorted; does not trigger collection.
-  /// Feeds the mr_table_stats system table.
+  /// Analyzed entries, name-sorted; feeds the mr_table_stats system table.
   std::vector<std::pair<std::string, const TableStats*>> Entries() const;
-
-  void Forget(const std::string& table_name) { entries_.erase(table_name); }
-  void Clear() { entries_.clear(); }
 
  private:
   struct Entry {
+    std::weak_ptr<const Table> table;  // the object ANALYZE saw
     uint64_t version = 0;
     uint64_t shape_version = 0;
     int64_t rows_covered = 0;
@@ -117,6 +119,8 @@ class StatisticsCatalog {
   /// Folds rows [begin, end) of `table` into `entry`.
   static void FoldRows(const Table& table, size_t begin, size_t end,
                        Entry* entry);
+  /// Recollects `entry` from all of `table`'s rows.
+  static void Rebuild(const Table& table, Entry* entry);
 
   std::map<std::string, Entry> entries_;
 };

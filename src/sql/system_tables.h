@@ -93,8 +93,8 @@ Result<Schema> SystemTableSchema(const std::string& name);
 /// mr_trace_spans in (tid, record order), mr_table_stats in (table, column
 /// position) order, mr_sessions in session-id order, mr_active_statements
 /// in statement-id order, mr_slow_queries oldest first. `stats` feeds
-/// mr_table_stats — it shows the entries the engine's statistics catalog
-/// has already collected (via planning under cost-based mode or ANALYZE);
+/// mr_table_stats — it shows the entries ANALYZE created in the engine's
+/// statistics catalog;
 /// null yields an empty table, never an error.
 Result<std::pair<Schema, std::vector<Row>>> MaterializeSystemTable(
     const std::string& name, const class StatisticsCatalog* stats = nullptr);

@@ -170,12 +170,12 @@ TEST_F(ServerSocketTest, MineRuleOverTheWire) {
 
 TEST_F(ServerSocketTest, BackslashCommands) {
   Client client(path_);
-  auto response = client.Roundtrip("\\set cost_based on\n");
+  auto response = client.Roundtrip("\\set memory_limit 1048576\n");
   ASSERT_EQ(response.size(), 1u);
   EXPECT_EQ(response[0], "OK");
   response = client.Roundtrip("\\set threads 2\n");
   EXPECT_EQ(response[0], "OK");
-  response = client.Roundtrip("\\set cost_based sideways\n");
+  response = client.Roundtrip("\\set threads sideways\n");
   EXPECT_EQ(response[0].rfind("ERR ", 0), 0u) << response[0];
   response = client.Roundtrip("\\frobnicate\n");
   EXPECT_EQ(response[0].rfind("ERR unknown command", 0), 0u) << response[0];
@@ -204,7 +204,7 @@ TEST_F(ServerSocketTest, ConcurrentConnectionsGetOwnSessions) {
       // Each connection has private options; churn them to prove no
       // cross-talk crashes or leaks settings mid-flight.
       auto set = client.Roundtrip(k % 2 == 0 ? "\\set threads 2\n"
-                                             : "\\set cost_based on\n");
+                                             : "\\set memory_limit 65536\n");
       if (set.empty() || set[0] != "OK") failures.fetch_add(1);
     });
   }
@@ -258,15 +258,6 @@ TEST_F(ServerSocketTest, SetCommandKeyMatrix) {
   EXPECT_EQ(server::ApplySetCommand(s, "\\set threads 2 3"),
             "ERR usage: \\set NAME VALUE");
 
-  // on|off keys, including case-insensitive key names.
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based on"), "OK");
-  EXPECT_TRUE(s->options()->cost_based_sql);
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set COST_BASED off"), "OK");
-  EXPECT_FALSE(s->options()->cost_based_sql);
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based sideways"),
-            "ERR expected on|off for \\set cost_based, got 'sideways'");
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based on"), "OK");
-  EXPECT_TRUE(s->options()->cost_based_sql);
   // The scan path follows the memory budget; it is not a session option.
   EXPECT_EQ(server::ApplySetCommand(s, "\\set vectorized on"),
             "ERR unknown option: vectorized");

@@ -325,13 +325,14 @@ TEST(SessionIsolationTest, OptionsDoNotLeakAcrossSessions) {
 
   const mr::MiningOptions before = *vanilla->options();
   tuned->options()->reuse_preprocessing = true;
-  tuned->options()->cost_based_sql = true;
+  tuned->options()->keep_encoded_tables = !before.keep_encoded_tables;
   tuned->options()->num_threads = 1;
   tuned->options()->memory_limit = 256 * 1024;
 
   EXPECT_EQ(vanilla->options()->reuse_preprocessing,
             before.reuse_preprocessing);
-  EXPECT_EQ(vanilla->options()->cost_based_sql, before.cost_based_sql);
+  EXPECT_EQ(vanilla->options()->keep_encoded_tables,
+            before.keep_encoded_tables);
   EXPECT_EQ(vanilla->options()->num_threads, before.num_threads);
   EXPECT_EQ(vanilla->options()->memory_limit, before.memory_limit);
 

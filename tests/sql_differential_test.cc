@@ -235,11 +235,11 @@ TEST_F(MixedKeyJoinTest, RandomizedMixedKeys) {
 // values; DATE keys; and two-column INTEGER keys. Each result, including its
 // row order, must equal a reference computed straight from the rows: first-
 // seen order for DISTINCT and GROUP BY, left-major nested-loop order for the
-// join. Runs at threads {1, 2, 8}, with and without a 1 KiB memory budget
-// and with cost-based planning on and off. Unbudgeted, the syntactic planner
-// scans columnar, while the cost-based planner falls back to the row
-// scan/filter on these small tables; a budget always keeps the row
-// scan/filter, so every executor combination is pinned to the reference.
+// join. Runs at threads {1, 2, 8}, with and without a 1 KiB memory budget,
+// and with L and R analyzed first or not. Analyzed, the planner plans the
+// queries from statistics (DESIGN.md §14); unbudgeted, both scan columnar,
+// and a budget keeps the row scan/filter, so every planner and executor
+// combination is pinned to the reference.
 class KeyClassSqlDifferentialTest
     : public ::testing::TestWithParam<std::tuple<int, int64_t, bool>> {
  protected:
@@ -247,10 +247,10 @@ class KeyClassSqlDifferentialTest
   static constexpr int kRightRows = 400;
 
   KeyClassSqlDifferentialTest() : engine_(&catalog_) {
-    const auto& [threads, budget, cost_based] = GetParam();
+    const auto& [threads, budget, analyze] = GetParam();
     engine_.set_num_threads(threads);
     engine_.set_memory_limit(budget);
-    engine_.set_cost_based(cost_based);
+    analyze_ = analyze;
   }
 
   /// Creates L(<key columns>, v) and R(<key columns>, w) with `draw`
@@ -269,6 +269,10 @@ class KeyClassSqlDifferentialTest
         row.push_back(Value::Integer(i));
         table.value()->AppendUnchecked(std::move(row));
       }
+    }
+    if (analyze_) {
+      Query("ANALYZE L");
+      Query("ANALYZE R");
     }
   }
 
@@ -384,6 +388,7 @@ class KeyClassSqlDifferentialTest
 
   Catalog catalog_;
   SqlEngine engine_;
+  bool analyze_ = false;
 };
 
 TEST_P(KeyClassSqlDifferentialTest, MixedDoubleKeys) {

@@ -1,6 +1,6 @@
-// Feedback-driven cost-based planning (DESIGN.md §14): the NDV sketch, the
-// statistics catalog's incremental maintenance, ANALYZE, plan feedback, and
-// the planner's cost-based choices — which must never change results.
+// Planning from statistics (DESIGN.md §14): the NDV sketch, the statistics
+// catalog's incremental maintenance, ANALYZE, plan feedback, and the
+// planner's choices over analyzed tables — which must never change results.
 
 #include "sql/statistics.h"
 
@@ -104,7 +104,8 @@ TEST_F(StatisticsCatalogTest, CollectsRowCountNdvMinMaxNulls) {
   MustExecute("CREATE TABLE t (a INTEGER, b VARCHAR)");
   MustExecute(
       "INSERT INTO t VALUES (1, 'x'), (2, 'y'), (2, NULL), (5, 'y')");
-  const TableStats* stats = engine_.statistics()->GetOrCollect(*MustTable("t"));
+  MustExecute("ANALYZE t");
+  const TableStats* stats = engine_.statistics()->Lookup(*MustTable("t"));
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->row_count, 4);
   ASSERT_EQ(stats->columns.size(), 2u);
@@ -123,7 +124,8 @@ TEST_F(StatisticsCatalogTest, CollectsRowCountNdvMinMaxNulls) {
 TEST_F(StatisticsCatalogTest, AppendsFoldIncrementally) {
   MustExecute("CREATE TABLE t (a INTEGER)");
   MustExecute("INSERT INTO t VALUES (1), (2)");
-  const TableStats* first = engine_.statistics()->GetOrCollect(*MustTable("t"));
+  MustExecute("ANALYZE t");
+  const TableStats* first = engine_.statistics()->Lookup(*MustTable("t"));
   const int64_t epoch_after_first = first->epoch;
   EXPECT_EQ(first->row_count, 2);
 
@@ -131,20 +133,20 @@ TEST_F(StatisticsCatalogTest, AppendsFoldIncrementally) {
   // which shows as a single epoch bump and the updated aggregates.
   MustExecute("INSERT INTO t VALUES (3), (4), (4)");
   const TableStats* second =
-      engine_.statistics()->GetOrCollect(*MustTable("t"));
+      engine_.statistics()->Lookup(*MustTable("t"));
   EXPECT_EQ(second->row_count, 5);
   EXPECT_EQ(second->epoch, epoch_after_first + 1);
   EXPECT_NEAR(second->columns[0].Ndv(), 4.0, 0.01);
   EXPECT_EQ(second->columns[0].max_value.AsInteger(), 4);
 
   // Unchanged table: cached entry, same epoch.
-  const TableStats* third = engine_.statistics()->GetOrCollect(*MustTable("t"));
+  const TableStats* third = engine_.statistics()->Lookup(*MustTable("t"));
   EXPECT_EQ(third->epoch, second->epoch);
 
   // UPDATE rewrites rows in place: shape changes force a full rebuild.
   MustExecute("UPDATE t SET a = 9 WHERE a = 1");
   const TableStats* fourth =
-      engine_.statistics()->GetOrCollect(*MustTable("t"));
+      engine_.statistics()->Lookup(*MustTable("t"));
   EXPECT_EQ(fourth->row_count, 5);
   EXPECT_EQ(fourth->columns[0].max_value.AsInteger(), 9);
 }
@@ -203,15 +205,23 @@ TEST(PlanFeedbackTest, RecordsAndInvalidates) {
   EXPECT_EQ(feedback.size(), 0u);
 }
 
-// ------------------------------------------------------------- cost mode --
+// ---------------------------------------------------- planning from stats --
 
+// engine_ plans from the statistics its ANALYZE collects; plain_ runs over
+// the same catalog but never analyzes, so it keeps every FROM-order plan.
 class CostBasedPlanningTest : public StatisticsCatalogTest {
  protected:
-  CostBasedPlanningTest() { engine_.set_cost_based(true); }
+  CostBasedPlanningTest() : plain_(&catalog_) {}
+
+  QueryResult MustExecutePlain(const std::string& sql) {
+    Result<QueryResult> result = plain_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
+    return result.ok() ? std::move(result).value() : QueryResult{};
+  }
 
   // Joins the one-column EXPLAIN result back into a plan text.
-  std::string Plan(const std::string& sql) {
-    QueryResult result = MustExecute(sql);
+  std::string Plan(const std::string& sql, bool plain = false) {
+    QueryResult result = plain ? MustExecutePlain(sql) : MustExecute(sql);
     EXPECT_EQ(result.schema.num_columns(), 1u);
     std::string plan;
     for (const Row& row : result.rows) {
@@ -257,6 +267,8 @@ class CostBasedPlanningTest : public StatisticsCatalogTest {
     }
     MustExecute("ANALYZE");
   }
+
+  SqlEngine plain_;
 };
 
 TEST_F(CostBasedPlanningTest, ExplainCarriesEstimates) {
@@ -269,9 +281,9 @@ TEST_F(CostBasedPlanningTest, ExplainCarriesEstimates) {
   EXPECT_NE(plan.find("est_rows=1"), std::string::npos) << plan;
   EXPECT_NE(plan.find("est_cost=4"), std::string::npos) << plan;
 
-  // Without cost-based planning the goldens are estimate-free.
-  engine_.set_cost_based(false);
-  EXPECT_EQ(Plan("EXPLAIN SELECT b FROM t WHERE a = 2").find("est_rows"),
+  // An engine that never analyzed t keeps the estimate-free goldens.
+  EXPECT_EQ(Plan("EXPLAIN SELECT b FROM t WHERE a = 2", /*plain=*/true)
+                .find("est_rows"),
             std::string::npos);
 }
 
@@ -285,8 +297,8 @@ TEST_F(CostBasedPlanningTest, ExplainAnalyzeShowsActualsAgainstEstimates) {
   EXPECT_NE(plan.find("rows=2"), std::string::npos) << plan;
 }
 
-// The syntactic planner always builds the hash table over the right input;
-// with 10:1 skew the cost-based planner must put the build on the smaller
+// The FROM-order plan always builds the hash table over the right input;
+// with 10:1 skew the plan from statistics must put the build on the smaller
 // left side — and the output bytes must not move.
 TEST_F(CostBasedPlanningTest, SwapsBuildSideOnSkew) {
   SetUpSkew();
@@ -296,29 +308,27 @@ TEST_F(CostBasedPlanningTest, SwapsBuildSideOnSkew) {
   const std::string plan = Plan("EXPLAIN " + query);
   EXPECT_NE(plan.find("[build=left]"), std::string::npos) << plan;
 
-  engine_.set_cost_based(false);
-  const std::string baseline_plan = Plan("EXPLAIN " + query);
+  const std::string baseline_plan = Plan("EXPLAIN " + query, /*plain=*/true);
   EXPECT_EQ(baseline_plan.find("[build=left]"), std::string::npos)
       << baseline_plan;
-  const std::string baseline = Dump(MustExecute(query));
+  const std::string baseline = Dump(MustExecutePlain(query));
   ASSERT_FALSE(baseline.empty());
 
-  engine_.set_cost_based(true);
   // Columnar, row scan (a budget that never spills), spilled, threaded: all
-  // byte-identical to the syntactic baseline.
+  // byte-identical to the FROM-order baseline.
   engine_.set_memory_limit(-1);
-  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based columnar";
+  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "analyzed columnar";
   engine_.set_memory_limit(std::numeric_limits<int64_t>::max());
-  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based row scan";
+  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "analyzed row scan";
   engine_.set_memory_limit(1024);
-  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based spilled";
+  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "analyzed spilled";
   engine_.set_memory_limit(-1);
   engine_.set_num_threads(4);
-  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based threaded";
+  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "analyzed threaded";
   engine_.set_num_threads(1);
 }
 
-// Three tables listed worst-first: the cost-based planner reorders the
+// Three tables listed worst-first: the plan from statistics reorders the
 // joins, then restores the canonical output order bit for bit.
 TEST_F(CostBasedPlanningTest, ReordersJoinsWithoutChangingResults) {
   MustExecute("CREATE TABLE facts (k INTEGER, m INTEGER)");
@@ -350,11 +360,9 @@ TEST_F(CostBasedPlanningTest, ReordersJoinsWithoutChangingResults) {
       "SELECT f1.k, d1.a, d2.b FROM facts f1, facts f2, dim1 d1, dim2 d2 "
       "WHERE f1.k = d1.k AND f2.m = d2.m AND f1.m = f2.m AND d1.k < 3";
 
-  engine_.set_cost_based(false);
-  const std::string baseline = Dump(MustExecute(query));
+  const std::string baseline = Dump(MustExecutePlain(query));
   ASSERT_FALSE(baseline.empty());
 
-  engine_.set_cost_based(true);
   // The reorder really happens: the restore machinery (hidden row numbers +
   // final sort) is in the plan, and the first joined table is not f1.
   const std::string plan = Plan("EXPLAIN " + query);
@@ -401,6 +409,51 @@ TEST_F(CostBasedPlanningTest, FeedbackOverridesEstimates) {
   EXPECT_NE(refreshed.find("est_rows=26"), std::string::npos) << refreshed;
 }
 
+// The planner's rule: statistics belong to the table object ANALYZE saw. A
+// dropped-and-recreated table of the same name plans in FROM order, alone
+// or joined to an analyzed table, until the next ANALYZE.
+TEST_F(CostBasedPlanningTest, RecreatedTablePlansWithoutStatisticsUntilAnalyzed) {
+  MustExecute("CREATE TABLE t (a INTEGER)");
+  MustExecute("CREATE TABLE u (a INTEGER)");
+  MustExecute("INSERT INTO t VALUES (1), (2), (3), (4)");
+  MustExecute("INSERT INTO u VALUES (1), (2)");
+  MustExecute("ANALYZE");
+  const std::string single = "EXPLAIN SELECT a FROM t WHERE a = 2";
+  const std::string join = "EXPLAIN SELECT t.a FROM t, u WHERE t.a = u.a";
+  EXPECT_NE(Plan(single).find("est_rows="), std::string::npos);
+  EXPECT_NE(Plan(join).find("est_rows="), std::string::npos);
+
+  MustExecute("DROP TABLE t");
+  MustExecute("CREATE TABLE t (a INTEGER)");
+  MustExecute("INSERT INTO t VALUES (1), (2), (3), (4)");
+  EXPECT_EQ(engine_.statistics()->Lookup(*MustTable("t")), nullptr);
+  EXPECT_EQ(Plan(single), Plan(single, /*plain=*/true));
+  EXPECT_EQ(Plan(join), Plan(join, /*plain=*/true));
+  EXPECT_EQ(Plan(join).find("est_rows"), std::string::npos);
+
+  MustExecute("ANALYZE t");
+  EXPECT_NE(Plan(single).find("est_rows="), std::string::npos);
+  EXPECT_NE(Plan(join).find("est_rows="), std::string::npos);
+}
+
+// Appends fold into the analyzed entry, so the table stays planned from
+// statistics and the estimates follow the new rows without another ANALYZE.
+TEST_F(CostBasedPlanningTest, AppendsKeepTablePlannedFromStatistics) {
+  MustExecute("CREATE TABLE t (a INTEGER)");
+  MustExecute("INSERT INTO t VALUES (1), (2), (3), (4)");
+  MustExecute("ANALYZE t");
+  const std::string query = "EXPLAIN SELECT a FROM t WHERE a < 100";
+  EXPECT_NE(Plan(query).find("est_cost=4"), std::string::npos) << Plan(query);
+
+  MustExecute("INSERT INTO t VALUES (5), (6), (7), (8)");
+  const std::string appended = Plan(query);
+  EXPECT_NE(appended.find("est_cost=8"), std::string::npos) << appended;
+  const TableStats* stats = engine_.statistics()->Lookup(*MustTable("t"));
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->row_count, 8);
+  EXPECT_EQ(stats->columns[0].max_value.AsInteger(), 8);
+}
+
 // LIMIT stops execution early, so observed counts would be undercounts:
 // statements with LIMIT must record no feedback at all.
 TEST_F(CostBasedPlanningTest, LimitRecordsNoFeedback) {
@@ -413,8 +466,9 @@ TEST_F(CostBasedPlanningTest, LimitRecordsNoFeedback) {
   EXPECT_GT(engine_.feedback()->size(), 0u);
 }
 
-// Cost-based planning changes plans, never results: spot-check a grab bag
-// of query shapes against the syntactic planner.
+// Planning from statistics changes plans, never results: spot-check a grab
+// bag of query shapes against the FROM-order plans of an engine that never
+// analyzed.
 TEST_F(CostBasedPlanningTest, DifferentialAgainstSyntacticPlanner) {
   SetUpSkew();
   const std::vector<std::string> queries = {
@@ -427,9 +481,7 @@ TEST_F(CostBasedPlanningTest, DifferentialAgainstSyntacticPlanner) {
       "SELECT COUNT(*) FROM big",
   };
   for (const std::string& query : queries) {
-    engine_.set_cost_based(false);
-    const std::string baseline = Dump(MustExecute(query));
-    engine_.set_cost_based(true);
+    const std::string baseline = Dump(MustExecutePlain(query));
     EXPECT_EQ(Dump(MustExecute(query)), baseline) << query;
   }
 }
