@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "datagen/quest_gen.h"
@@ -103,7 +104,8 @@ BENCHMARK(BM_AprioriScaleD)
 
 // Thread-count scaling of the parallel miners on a larger Quest set: the
 // speedup axis of the parallel mining core (Partition mines its slices
-// concurrently; Apriori/DHP count candidates over transaction ranges).
+// concurrently; Apriori/DHP count candidates over transaction ranges; the
+// gid-list miner extends each level over morsels of prefixes).
 #define THREADS_BENCH(name, algorithm)                    \
   void name(benchmark::State& state) {                    \
     RunMiner(state, algorithm);                           \
@@ -115,10 +117,12 @@ BENCHMARK(BM_AprioriScaleD)
 THREADS_BENCH(BM_PartitionThreads, SimpleAlgorithm::kPartition);
 THREADS_BENCH(BM_AprioriThreads, SimpleAlgorithm::kApriori);
 THREADS_BENCH(BM_DhpThreads, SimpleAlgorithm::kDhp);
+THREADS_BENCH(BM_GidListThreads, SimpleAlgorithm::kGidList);
 
 // --smoke: one run per pool member on a small Quest db, pass counters
 // (including the DHP filter sizes and Partition slice sizes) emitted as
-// JSON and validated.
+// JSON and validated. Every member must return the same itemsets, at 1 and
+// at 8 threads, and report at least one pass.
 int RunSmoke() {
   datagen::QuestParams params;
   params.num_transactions = 300;
@@ -134,22 +138,45 @@ int RunSmoke() {
       SimpleAlgorithm::kGidList,   SimpleAlgorithm::kDhp,
       SimpleAlgorithm::kPartition, SimpleAlgorithm::kSampling};
 
+  auto same = [](const std::vector<mining::FrequentItemset>& a,
+                 const std::vector<mining::FrequentItemset>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].items != b[i].items || a[i].group_count != b[i].group_count) {
+        return false;
+      }
+    }
+    return true;
+  };
+
   JsonWriter w;
   w.BeginObject();
+  std::vector<mining::FrequentItemset> baseline;
   for (SimpleAlgorithm algorithm : algorithms) {
-    mining::SimpleMinerOptions options;
-    options.partition_count = 4;
-    options.sample_rate = 0.2;
-    auto miner = mining::CreateMiner(algorithm, options);
+    const char* name = mining::SimpleAlgorithmName(algorithm);
     mining::SimpleMinerStats stats;
-    auto result = miner->Mine(db, min_count, -1, &stats);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s: %s\n", mining::SimpleAlgorithmName(algorithm),
-                   result.status().ToString().c_str());
-      return 1;
+    for (int threads : {1, 8}) {
+      mining::SimpleMinerOptions options;
+      options.partition_count = 4;
+      options.sample_rate = 0.2;
+      options.num_threads = threads;
+      auto miner = mining::CreateMiner(algorithm, options);
+      stats = {};
+      auto result = miner->Mine(db, min_count, -1, &stats);
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s: %s\n", name,
+                     result.status().ToString().c_str());
+        return 1;
+      }
+      if (baseline.empty()) baseline = result.value();
+      if (!same(baseline, result.value()) || stats.passes < 1) {
+        std::fprintf(stderr, "%s at %d threads: %zu itemsets, %d passes\n",
+                     name, threads, result.value().size(), stats.passes);
+        return 1;
+      }
     }
-    w.Key(mining::SimpleAlgorithmName(algorithm)).BeginObject();
-    w.Key("itemsets").Int(static_cast<int64_t>(result.value().size()));
+    w.Key(name).BeginObject();
+    w.Key("itemsets").Int(static_cast<int64_t>(baseline.size()));
     w.Key("passes").Int(stats.passes);
     w.Key("candidates_per_level").BeginArray();
     for (int64_t c : stats.candidates_per_level) w.Int(c);

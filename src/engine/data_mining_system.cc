@@ -163,6 +163,7 @@ std::string MiningRunStats::ToJson() const {
   w.Key("translate_seconds").Double(translate_seconds);
   w.Key("preprocess_seconds").Double(preprocess_seconds);
   w.Key("core_seconds").Double(core_seconds);
+  w.Key("handoff_seconds").Double(handoff_seconds);
   w.Key("postprocess_seconds").Double(postprocess_seconds);
   w.Key("total_seconds").Double(TotalSeconds());
   w.EndObject();
@@ -456,9 +457,13 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
   core_directives.has_input_rules = translation.directives.M;
   core_directives.has_cluster_couples = translation.directives.K;
 
+  std::optional<ScopedSpan> handoff_span(std::in_place, "core.handoff",
+                                          "core");
   MR_ASSIGN_OR_RETURN(
       mining::CodedSourceData data,
       FetchEncodedData(preprocess->program, translation.directives));
+  handoff_span.reset();
+  stats.handoff_seconds = phase.ElapsedSeconds();
   data.total_groups = preprocess->total_groups;
 
   // Coded-table cache footprint (the in-memory copy handed to the miners).

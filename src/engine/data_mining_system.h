@@ -101,8 +101,12 @@ struct MiningRunStats {
 
   double translate_seconds = 0;
   double preprocess_seconds = 0;
+  /// Includes handoff_seconds: the core phase starts with the hand-off.
   double core_seconds = 0;
   double postprocess_seconds = 0;
+  /// The hand-off of the encoded tables from SQL to the core
+  /// (FetchEncodedData), a part of core_seconds.
+  double handoff_seconds = 0;
   double TotalSeconds() const {
     return translate_seconds + preprocess_seconds + core_seconds +
            postprocess_seconds;

@@ -105,7 +105,7 @@ std::unique_ptr<FrequentItemsetMiner> CreateMiner(
     case SimpleAlgorithm::kAprioriTid:
       return std::make_unique<AprioriTidMiner>();
     case SimpleAlgorithm::kGidList:
-      return std::make_unique<GidListMiner>();
+      return std::make_unique<GidListMiner>(options.num_threads);
     case SimpleAlgorithm::kDhp:
       return std::make_unique<DhpMiner>(options.dhp_buckets,
                                         options.num_threads);
@@ -120,7 +120,7 @@ std::unique_ptr<FrequentItemsetMiner> CreateMiner(
     case SimpleAlgorithm::kAuto:
       // kAuto is resolved against the database shape before a miner is
       // constructed; a caller without a database gets the paper's scheme.
-      return std::make_unique<GidListMiner>();
+      return std::make_unique<GidListMiner>(options.num_threads);
   }
   return nullptr;
 }

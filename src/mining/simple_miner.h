@@ -49,9 +49,10 @@ struct SimpleMinerOptions {
   uint64_t seed = 42;           // Sampling: PRNG seed
 
   /// Worker threads for the parallel miners (Apriori/DHP counting,
-  /// Partition slices), drawn from the shared pool. <= 0 means hardware
-  /// concurrency; 1 reproduces the serial execution exactly. Results are
-  /// bit-identical at every setting (enforced by the differential tests).
+  /// Partition slices, gid-list level extension), drawn from the shared
+  /// pool. <= 0 means hardware concurrency; 1 reproduces the serial
+  /// execution exactly. Results are bit-identical at every setting
+  /// (enforced by the differential tests).
   int num_threads = 0;
 };
 

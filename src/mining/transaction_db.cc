@@ -1,24 +1,28 @@
 #include "mining/transaction_db.h"
 
 #include <algorithm>
-#include <map>
 
 namespace minerule::mining {
 
 TransactionDb TransactionDb::FromPairs(
     std::vector<std::pair<Gid, ItemId>> pairs, int64_t total_groups) {
-  std::map<Gid, Itemset> by_group;
-  for (const auto& [gid, item] : pairs) {
-    by_group[gid].push_back(item);
-  }
+  // One sort groups the pairs by gid with each group's items ascending;
+  // unique drops duplicate pairs, so each run is a canonical itemset.
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   TransactionDb db;
   db.total_groups_ = total_groups;
-  db.gids_.reserve(by_group.size());
-  db.transactions_.reserve(by_group.size());
-  for (auto& [gid, items] : by_group) {
-    Canonicalize(&items);
-    db.gids_.push_back(gid);
+  for (size_t begin = 0; begin < pairs.size();) {
+    size_t end = begin + 1;
+    while (end < pairs.size() && pairs[end].first == pairs[begin].first) {
+      ++end;
+    }
+    Itemset items;
+    items.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) items.push_back(pairs[i].second);
+    db.gids_.push_back(pairs[begin].first);
     db.transactions_.push_back(std::move(items));
+    begin = end;
   }
   db.BuildIndexes();
   return db;

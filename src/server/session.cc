@@ -79,7 +79,8 @@ std::string CompressProfile(const std::vector<sql::OperatorProfile>& ops) {
 }
 
 /// Compresses a MINE RULE run into its phase timings, the closest analogue
-/// of an operator profile at statement granularity.
+/// of an operator profile at statement granularity. The hand-off is a part
+/// of the core phase, listed after it.
 std::string CompressMiningPhases(const mr::MiningRunStats& stats) {
   auto phase = [](const char* name, double seconds) {
     return std::string(name) + ":" +
@@ -88,6 +89,7 @@ std::string CompressMiningPhases(const mr::MiningRunStats& stats) {
   return phase("translate", stats.translate_seconds) + " " +
          phase("preprocess", stats.preprocess_seconds) + " " +
          phase("core", stats.core_seconds) + " " +
+         phase("handoff", stats.handoff_seconds) + " " +
          phase("postprocess", stats.postprocess_seconds);
 }
 

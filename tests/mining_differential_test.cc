@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "datagen/quest_gen.h"
 #include "mining/reference_miner.h"
 #include "mining/simple_miner.h"
@@ -155,6 +158,65 @@ TEST_P(MiningDifferentialTest, RulesAgreeAcrossPoolAndThreads) {
         EXPECT_EQ(rules.value()[i].body_group_count,
                   baseline.value()[i].body_group_count);
       }
+    }
+  }
+}
+
+/// Every other case builds its database with FromTransactions, where gid
+/// = position. Here FromPairs gets shuffled pairs with duplicates and
+/// sparse, non-contiguous gids (one negative): the gid-list miner, which
+/// mines on transaction positions, must still equal the reference miner at
+/// every thread count, and gid_list() must still return the real gids.
+TEST_P(MiningDifferentialTest, GidListOnSparseShuffledPairs) {
+  const TransactionDb dense = NarrowQuestDb(GetParam() + 5);
+  auto sparse_gid = [](size_t t) {
+    return t == 0 ? Gid{-17} : static_cast<Gid>(t * 7919 + 3);
+  };
+  std::vector<std::pair<Gid, ItemId>> pairs;
+  size_t nonempty = 0;
+  for (size_t t = 0; t < dense.num_transactions(); ++t) {
+    nonempty += dense.transactions()[t].empty() ? 0 : 1;
+    for (ItemId item : dense.transactions()[t]) {
+      pairs.emplace_back(sparse_gid(t), item);
+      if ((t + static_cast<size_t>(item)) % 4 == 0) {
+        pairs.emplace_back(sparse_gid(t), item);
+      }
+    }
+  }
+  Random rng(GetParam());
+  for (size_t i = pairs.size(); i > 1; --i) {
+    std::swap(pairs[i - 1], pairs[rng.NextBounded(i)]);
+  }
+  const TransactionDb db =
+      TransactionDb::FromPairs(std::move(pairs), dense.total_groups());
+  ASSERT_EQ(db.num_transactions(), nonempty);
+  ASSERT_EQ(db.gids().front(), -17);
+
+  for (ItemId item : db.items()) {
+    GidList expected;
+    for (size_t t = 0; t < dense.num_transactions(); ++t) {
+      const Itemset& txn = dense.transactions()[t];
+      if (std::binary_search(txn.begin(), txn.end(), item)) {
+        expected.push_back(sparse_gid(t));
+      }
+    }
+    ASSERT_EQ(db.gid_list(item), expected) << "item " << item;
+  }
+
+  for (double support : {0.05, 0.15}) {
+    const int64_t min_count = MinGroupCount(support, db.total_groups());
+    const std::vector<FrequentItemset> expected =
+        MustMine(SimpleAlgorithm::kReference, db, min_count, 1);
+    EXPECT_FALSE(expected.empty());
+    // The same data under gid = position yields the same itemsets.
+    ExpectSameItemsets(
+        expected, MustMine(SimpleAlgorithm::kReference, dense, min_count, 1),
+        "reference dense sup=" + std::to_string(support));
+    for (int threads : {1, 2, 8}) {
+      ExpectSameItemsets(
+          expected, MustMine(SimpleAlgorithm::kGidList, db, min_count, threads),
+          "gidlist threads=" + std::to_string(threads) +
+              " sup=" + std::to_string(support));
     }
   }
 }

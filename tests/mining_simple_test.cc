@@ -319,6 +319,76 @@ TEST(PoolEquivalenceTest2, EmptyGroupsInDenominator) {
   }
 }
 
+// Level-extension edge cases of the gid-list miner, each checked against
+// the reference miner at 1, 2 and 8 threads: max_size stopping after level
+// 1 or 2, a level with a single member, a threshold equal to a list's full
+// length, and an item in every transaction (the densest bitmap, over 130
+// transactions so it spans three words with a partial last one).
+TEST(GidListTest, LevelExtensionEdgeCases) {
+  struct EdgeCase {
+    const char* what;
+    TransactionDb db;
+    int64_t min_count;
+    int64_t max_size;
+  };
+  std::vector<Itemset> dense_txns;
+  Random rng(3);
+  for (int t = 0; t < 130; ++t) {
+    Itemset txn = {1};
+    for (ItemId item = 2; item <= 6; ++item) {
+      if (rng.NextBool(0.5)) txn.push_back(item);
+    }
+    dense_txns.push_back(std::move(txn));
+  }
+  std::vector<EdgeCase> cases;
+  cases.push_back({"max_size 1", RandomDb(8, 60, 10, 0.4), 5, 1});
+  cases.push_back({"max_size 2", RandomDb(8, 60, 10, 0.4), 5, 2});
+  cases.push_back({"single frequent item",
+                   TransactionDb::FromTransactions({{1, 2}, {1}, {1, 3}}, 3),
+                   2, -1});
+  cases.push_back(
+      {"single frequent pair",
+       TransactionDb::FromTransactions({{1, 2}, {1, 2, 3}, {3}, {4}}, 4), 2,
+       -1});
+  // {1}, {2} and {1,2} each occur in exactly the 3 groups min_count asks
+  // for: the child list equals both parents' full lists.
+  cases.push_back(
+      {"threshold equals full list",
+       TransactionDb::FromTransactions({{1, 2, 3}, {1, 2}, {1, 2, 3}, {4}}, 4),
+       3, -1});
+  cases.push_back({"item in every transaction",
+                   TransactionDb::FromTransactions(dense_txns, 130), 30, -1});
+  cases.push_back({"item in every transaction, threshold n",
+                   TransactionDb::FromTransactions(dense_txns, 130), 130, -1});
+
+  ReferenceMiner reference;
+  for (const EdgeCase& c : cases) {
+    auto expected = MustMine(&reference, c.db, c.min_count, c.max_size);
+    ASSERT_FALSE(expected.empty()) << c.what;
+    for (int threads : {1, 2, 8}) {
+      SimpleMinerOptions options;
+      options.num_threads = threads;
+      auto miner = CreateMiner(SimpleAlgorithm::kGidList, options);
+      SimpleMinerStats stats;
+      auto actual = MustMine(miner.get(), c.db, c.min_count, c.max_size,
+                             &stats);
+      ASSERT_EQ(actual.size(), expected.size())
+          << c.what << " threads=" << threads;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i].items, expected[i].items) << c.what;
+        EXPECT_EQ(actual[i].group_count, expected[i].group_count)
+            << c.what << " " << ItemsetToString(expected[i].items);
+      }
+      if (c.max_size >= 0) {
+        // No level past max_size is generated.
+        EXPECT_EQ(stats.large_per_level.size(),
+                  static_cast<size_t>(c.max_size))
+            << c.what;
+      }
+    }
+  }
+}
+
 TEST(SamplingMinerTest, DeterministicForFixedSeed) {
   TransactionDb db = RandomDb(5, 100, 10, 0.3);
   SimpleMinerOptions options;

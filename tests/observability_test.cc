@@ -288,14 +288,22 @@ TEST_F(MiningObservabilityTest, PerPassCountersArePopulated) {
             stats.core.simple.large_per_level[0]);
   EXPECT_GT(stats.core.rules_found, 0);
 
-  // The tracer's phase spans cover all four phases, in pipeline order.
+  // The hand-off of the encoded tables is timed as a part of the core.
+  EXPECT_GT(stats.handoff_seconds, 0);
+  EXPECT_LE(stats.handoff_seconds, stats.core_seconds);
+
+  // The tracer's phase spans cover all four phases, in pipeline order, and
+  // the core carries a hand-off span.
   std::vector<std::string> spans;
+  int handoff_spans = 0;
   for (const SpanEvent& event : tracer.Snapshot()) {
     if (std::string(event.category) == "phase") spans.push_back(event.name);
+    if (event.name == "core.handoff") ++handoff_spans;
   }
   tracer.Clear();
   EXPECT_EQ(spans, (std::vector<std::string>{"translate", "preprocess",
                                              "core", "postprocess"}));
+  EXPECT_EQ(handoff_spans, 1);
 
   // Pool usage: per-worker vectors sized to the pool, totals consistent.
   EXPECT_GE(stats.pool.workers, 1);
@@ -310,8 +318,9 @@ TEST_F(MiningObservabilityTest, ToJsonRoundTripsThroughValidator) {
   Status valid = ValidateJson(json);
   EXPECT_TRUE(valid.ok()) << valid << "\n" << json;
   for (const char* key :
-       {"\"directives\"", "\"phases\"", "\"preprocess_queries\"",
-        "\"postprocess_queries\"", "\"core\"", "\"thread_pool\""}) {
+       {"\"directives\"", "\"phases\"", "\"handoff_seconds\"",
+        "\"preprocess_queries\"", "\"postprocess_queries\"", "\"core\"",
+        "\"thread_pool\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   // Phase spans belong to the tracer alone; the JSON carries no copy.
