@@ -34,6 +34,8 @@ ThreadPool::ThreadPool(int num_threads) {
     workers_.emplace_back(
         [this, i] { WorkerLoop(static_cast<size_t>(i)); });
   }
+  std::unique_lock<std::mutex> lock(mutex_);
+  named_.wait(lock, [&] { return named_workers_ == count; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -71,6 +73,11 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   GlobalTracer().SetCurrentThreadName(
       "pool-worker-" + std::to_string(worker_index),
       /*preferred_tid=*/100 + static_cast<int>(worker_index));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++named_workers_;
+  }
+  named_.notify_one();
   Counter* tasks_counter = GlobalMetrics().GetCounter("pool.tasks_run");
   Histogram* task_micros = GlobalMetrics().GetHistogram(
       "pool.task_micros", LatencyBucketsMicros());

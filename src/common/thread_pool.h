@@ -86,6 +86,10 @@ class ThreadPool {
   std::condition_variable wake_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
+  /// Workers that have named themselves in the tracer; the constructor
+  /// waits for all of them, so a trace export never misses a worker.
+  int named_workers_ = 0;
+  std::condition_variable named_;
   std::unique_ptr<WorkerCounters[]> counters_;
   std::vector<std::thread> workers_;
 };

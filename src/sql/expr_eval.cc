@@ -93,12 +93,17 @@ Result<Value> ArithmeticOp(BinaryOp op, const Value& lhs, const Value& rhs) {
   return Status::Internal("ArithmeticOp called with non-arithmetic op");
 }
 
-Result<Value> EvalFunction(const FunctionExpr& f, const Row& row,
+template <typename RowT>
+Result<Value> EvalExprImpl(const Expr& expr, const RowT& row,
+                           ExecContext* ctx);
+
+template <typename RowT>
+Result<Value> EvalFunction(const FunctionExpr& f, const RowT& row,
                            ExecContext* ctx) {
   std::vector<Value> args;
   args.reserve(f.args.size());
   for (const ExprPtr& e : f.args) {
-    MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx));
+    MR_ASSIGN_OR_RETURN(Value v, EvalExprImpl(*e, row, ctx));
     args.push_back(std::move(v));
   }
   auto arity = [&](size_t n) -> Status {
@@ -177,9 +182,10 @@ Result<Value> EvalFunction(const FunctionExpr& f, const Row& row,
   return Status::SemanticError("unknown function: " + f.name);
 }
 
-}  // namespace
-
-Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
+/// The one evaluator body, shared by materialized rows and join pairs.
+template <typename RowT>
+Result<Value> EvalExprImpl(const Expr& expr, const RowT& row,
+                           ExecContext* ctx) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return static_cast<const LiteralExpr&>(expr).value;
@@ -214,7 +220,7 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
     }
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(expr);
-      MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*u.operand, row, ctx));
+      MR_ASSIGN_OR_RETURN(Value v, EvalExprImpl(*u.operand, row, ctx));
       if (v.is_null()) return Value::Null();
       if (u.op == UnaryOp::kNot) {
         if (v.type() != DataType::kBoolean) {
@@ -236,7 +242,7 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
         case BinaryOp::kAnd:
         case BinaryOp::kOr: {
           // Kleene three-valued logic with short-circuit where sound.
-          MR_ASSIGN_OR_RETURN(Value lv, EvalExpr(*b.lhs, row, ctx));
+          MR_ASSIGN_OR_RETURN(Value lv, EvalExprImpl(*b.lhs, row, ctx));
           if (!lv.is_null() && lv.type() != DataType::kBoolean) {
             return Status::TypeError("AND/OR expects booleans");
           }
@@ -246,7 +252,7 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
           if (b.op == BinaryOp::kOr && !lv.is_null() && lv.AsBoolean()) {
             return Value::Boolean(true);
           }
-          MR_ASSIGN_OR_RETURN(Value rv, EvalExpr(*b.rhs, row, ctx));
+          MR_ASSIGN_OR_RETURN(Value rv, EvalExprImpl(*b.rhs, row, ctx));
           if (!rv.is_null() && rv.type() != DataType::kBoolean) {
             return Status::TypeError("AND/OR expects booleans");
           }
@@ -265,28 +271,28 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
         case BinaryOp::kLessEq:
         case BinaryOp::kGreater:
         case BinaryOp::kGreaterEq: {
-          MR_ASSIGN_OR_RETURN(Value lv, EvalExpr(*b.lhs, row, ctx));
-          MR_ASSIGN_OR_RETURN(Value rv, EvalExpr(*b.rhs, row, ctx));
+          MR_ASSIGN_OR_RETURN(Value lv, EvalExprImpl(*b.lhs, row, ctx));
+          MR_ASSIGN_OR_RETURN(Value rv, EvalExprImpl(*b.rhs, row, ctx));
           return CompareOp(b.op, std::move(lv), std::move(rv));
         }
         case BinaryOp::kConcat: {
-          MR_ASSIGN_OR_RETURN(Value lv, EvalExpr(*b.lhs, row, ctx));
-          MR_ASSIGN_OR_RETURN(Value rv, EvalExpr(*b.rhs, row, ctx));
+          MR_ASSIGN_OR_RETURN(Value lv, EvalExprImpl(*b.lhs, row, ctx));
+          MR_ASSIGN_OR_RETURN(Value rv, EvalExprImpl(*b.rhs, row, ctx));
           if (lv.is_null() || rv.is_null()) return Value::Null();
           return Value::String(lv.ToString() + rv.ToString());
         }
         default: {
-          MR_ASSIGN_OR_RETURN(Value lv, EvalExpr(*b.lhs, row, ctx));
-          MR_ASSIGN_OR_RETURN(Value rv, EvalExpr(*b.rhs, row, ctx));
+          MR_ASSIGN_OR_RETURN(Value lv, EvalExprImpl(*b.lhs, row, ctx));
+          MR_ASSIGN_OR_RETURN(Value rv, EvalExprImpl(*b.rhs, row, ctx));
           return ArithmeticOp(b.op, lv, rv);
         }
       }
     }
     case ExprKind::kBetween: {
       const auto& b = static_cast<const BetweenExpr&>(expr);
-      MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*b.operand, row, ctx));
-      MR_ASSIGN_OR_RETURN(Value lo, EvalExpr(*b.low, row, ctx));
-      MR_ASSIGN_OR_RETURN(Value hi, EvalExpr(*b.high, row, ctx));
+      MR_ASSIGN_OR_RETURN(Value v, EvalExprImpl(*b.operand, row, ctx));
+      MR_ASSIGN_OR_RETURN(Value lo, EvalExprImpl(*b.low, row, ctx));
+      MR_ASSIGN_OR_RETURN(Value hi, EvalExprImpl(*b.high, row, ctx));
       MR_ASSIGN_OR_RETURN(Value ge, CompareOp(BinaryOp::kGreaterEq, v, lo));
       MR_ASSIGN_OR_RETURN(Value le, CompareOp(BinaryOp::kLessEq, v, hi));
       if (ge.is_null() || le.is_null()) return Value::Null();
@@ -295,11 +301,11 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
     }
     case ExprKind::kInList: {
       const auto& in = static_cast<const InListExpr&>(expr);
-      MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*in.operand, row, ctx));
+      MR_ASSIGN_OR_RETURN(Value v, EvalExprImpl(*in.operand, row, ctx));
       if (v.is_null()) return Value::Null();
       bool saw_null = false;
       for (const ExprPtr& e : in.list) {
-        MR_ASSIGN_OR_RETURN(Value candidate, EvalExpr(*e, row, ctx));
+        MR_ASSIGN_OR_RETURN(Value candidate, EvalExprImpl(*e, row, ctx));
         if (candidate.is_null()) {
           saw_null = true;
           continue;
@@ -314,7 +320,7 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
     }
     case ExprKind::kIsNull: {
       const auto& n = static_cast<const IsNullExpr&>(expr);
-      MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*n.operand, row, ctx));
+      MR_ASSIGN_OR_RETURN(Value v, EvalExprImpl(*n.operand, row, ctx));
       return Value::Boolean(n.negated ? !v.is_null() : v.is_null());
     }
     case ExprKind::kFunction:
@@ -337,15 +343,37 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
   return Status::Internal("unknown expression kind in evaluator");
 }
 
-Result<bool> EvalPredicate(const Expr& expr, const Row& row,
-                           ExecContext* ctx) {
-  MR_ASSIGN_OR_RETURN(Value v, EvalExpr(expr, row, ctx));
+template <typename RowT>
+Result<bool> EvalPredicateImpl(const Expr& expr, const RowT& row,
+                               ExecContext* ctx) {
+  MR_ASSIGN_OR_RETURN(Value v, EvalExprImpl(expr, row, ctx));
   if (v.is_null()) return false;
   if (v.type() != DataType::kBoolean) {
     return Status::TypeError("predicate did not evaluate to a boolean: " +
                              expr.ToSql());
   }
   return v.AsBoolean();
+}
+
+}  // namespace
+
+Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
+  return EvalExprImpl(expr, row, ctx);
+}
+
+Result<Value> EvalExpr(const Expr& expr, const JoinedRow& row,
+                       ExecContext* ctx) {
+  return EvalExprImpl(expr, row, ctx);
+}
+
+Result<bool> EvalPredicate(const Expr& expr, const Row& row,
+                           ExecContext* ctx) {
+  return EvalPredicateImpl(expr, row, ctx);
+}
+
+Result<bool> EvalPredicate(const Expr& expr, const JoinedRow& row,
+                           ExecContext* ctx) {
+  return EvalPredicateImpl(expr, row, ctx);
 }
 
 }  // namespace minerule::sql

@@ -61,6 +61,19 @@ struct ExecContext {
   size_t spill_partitions = 16;
 };
 
+/// A joined row that is never built: the left input's columns followed by
+/// the right input's, read in place. Joins evaluate their residual
+/// predicates on this view and concatenate only the pairs that pass.
+struct JoinedRow {
+  const Row& left;
+  const Row& right;
+
+  size_t size() const { return left.size() + right.size(); }
+  const Value& operator[](size_t i) const {
+    return i < left.size() ? left[i] : right[i - left.size()];
+  }
+};
+
 /// Evaluates a *bound* expression against `row`. SQL three-valued logic:
 /// comparisons and arithmetic over NULL yield NULL; AND/OR follow Kleene
 /// semantics. Aggregate nodes are a hard error here — the planner rewrites
@@ -70,6 +83,12 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx);
 /// Evaluates a predicate: NULL and FALSE both reject the row (SQL WHERE
 /// semantics). Non-boolean results are a type error.
 Result<bool> EvalPredicate(const Expr& expr, const Row& row, ExecContext* ctx);
+
+/// The same evaluation over a join pair, bound against the joined layout.
+Result<Value> EvalExpr(const Expr& expr, const JoinedRow& row,
+                       ExecContext* ctx);
+Result<bool> EvalPredicate(const Expr& expr, const JoinedRow& row,
+                           ExecContext* ctx);
 
 }  // namespace minerule::sql
 

@@ -421,15 +421,27 @@ Schema ConcatSchemas(const Schema& a, const Schema& b) {
   return out;
 }
 
-Row ConcatRows(const Row& a, const Row& b) {
+}  // namespace
+
+Row ConcatRows(const Row& left, const Row& right) {
   Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
+  out.reserve(left.size() + right.size());
+  out.insert(out.end(), left.begin(), left.end());
+  out.insert(out.end(), right.begin(), right.end());
   return out;
 }
 
-}  // namespace
+bool JoinResidual::NextValFree() const {
+  return predicate_ == nullptr || !ContainsNextVal(*predicate_);
+}
+
+void JoinResidual::AppendCounters(
+    std::vector<std::pair<std::string, int64_t>>* out) const {
+  if (predicate_ == nullptr) return;
+  out->emplace_back("residual_checked",
+                    checked_.load(std::memory_order_relaxed));
+  out->emplace_back("residual_passed", passed_.load(std::memory_order_relaxed));
+}
 
 NestedLoopJoinNode::NestedLoopJoinNode(ExecNodePtr left, ExecNodePtr right,
                                        ExprPtr predicate, ExecContext* ctx)
@@ -438,18 +450,20 @@ NestedLoopJoinNode::NestedLoopJoinNode(ExecNodePtr left, ExecNodePtr right,
       right_(std::move(right)),
       predicate_(std::move(predicate)),
       ctx_(ctx),
-      pure_(predicate_ == nullptr || !ContainsNextVal(*predicate_)) {}
+      pure_(predicate_.NextValFree()) {}
 
 std::string NestedLoopJoinNode::detail() const {
-  return predicate_ != nullptr ? predicate_->ToSql() : "cross";
+  return predicate_.get() != nullptr ? predicate_.get()->ToSql() : "cross";
 }
 
 void NestedLoopJoinNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   out->emplace_back("right_rows", static_cast<int64_t>(right_rows_.size()));
+  predicate_.AppendCounters(out);
 }
 
 Status NestedLoopJoinNode::OpenImpl() {
+  predicate_.Reset();
   MR_RETURN_IF_ERROR(left_->Open());
   MR_RETURN_IF_ERROR(right_->Open());
   right_rows_.clear();
@@ -469,13 +483,11 @@ Result<bool> NestedLoopJoinNode::NextImpl(Row* out) {
       right_pos_ = 0;
     }
     while (right_pos_ < right_rows_.size()) {
-      Row joined = ConcatRows(current_left_, right_rows_[right_pos_++]);
-      if (predicate_ != nullptr) {
-        MR_ASSIGN_OR_RETURN(bool pass,
-                            EvalPredicate(*predicate_, joined, ctx_));
-        if (!pass) continue;
-      }
-      *out = std::move(joined);
+      const Row& right = right_rows_[right_pos_++];
+      MR_ASSIGN_OR_RETURN(bool pass,
+                          predicate_.Passes(current_left_, right, ctx_));
+      if (!pass) continue;
+      *out = ConcatRows(current_left_, right);
       return true;
     }
     have_left_ = false;
@@ -499,7 +511,7 @@ HashJoinNode::HashJoinNode(ExecNodePtr left, ExecNodePtr right,
       ctx_(ctx),
       swap_build_(swap_build) {
   pure_ = ExprsNextValFree(left_keys_) && ExprsNextValFree(right_keys_) &&
-          (residual_ == nullptr || !ContainsNextVal(*residual_));
+          residual_.NextValFree();
 }
 
 std::string HashJoinNode::detail() const {
@@ -508,6 +520,7 @@ std::string HashJoinNode::detail() const {
     if (!out.empty()) out += " AND ";
     out += left_keys_[i]->ToSql() + " = " + right_keys_[i]->ToSql();
   }
+  if (residual_.get() != nullptr) out += " AND " + residual_.get()->ToSql();
   if (swap_build_) out += " [build=left]";
   return out;
 }
@@ -526,6 +539,7 @@ void HashJoinNode::AppendExtraCounters(
   if (parallel_) {
     out->emplace_back("partitions", static_cast<int64_t>(partitions_.size()));
   }
+  residual_.AppendCounters(out);
   if (swap_ready_) out->emplace_back("build_side_swapped", 1);
   if (probe_skipped_) out->emplace_back("probe_skipped", 1);
   if (spill_bytes_ > 0) {
@@ -645,6 +659,7 @@ Status HashJoinNode::OpenImpl() {
   swap_buckets_ = 0;
   current_bucket_ = {};
   bucket_pos_ = 0;
+  residual_.Reset();
   encodable_ = KeyExprsEncodable(left_keys_) && KeyExprsEncodable(right_keys_);
   const int num_threads = ctx_->num_threads;
   const bool budget = ctx_->memory_limit >= 0 && pure_;
@@ -746,6 +761,34 @@ Status HashJoinNode::OpenImpl() {
 }
 
 Status HashJoinNode::OpenSwapped(int num_threads) {
+  // Materialize the right input first, as the canonical build does, and
+  // skip the left under the canonical condition: no right row has a
+  // non-NULL key. So the swap never changes which subtrees run, nor
+  // whether a statement fails (DESIGN.md §14). Joined rows are only built
+  // at emission (SwappedRow), never here — buffering whole rows is what
+  // made the swap lose its build-side savings on cheap keys.
+  MR_RETURN_IF_ERROR(right_->Open());
+  const int64_t probe_estimate = right_->EstimatedRowCount();
+  if (probe_estimate > 0) {
+    swap_probe_rows_.reserve(static_cast<size_t>(probe_estimate));
+  }
+  MR_RETURN_IF_ERROR(
+      DrainOpenedNode(right_.get(), num_threads, &swap_probe_rows_));
+  // From here on the node is a fixed source over swap_pairs_.
+  swap_ready_ = true;
+  if (left_->SideEffectFree()) {
+    bool any_key = false;
+    Row key;
+    for (size_t i = 0; i < swap_probe_rows_.size() && !any_key; ++i) {
+      MR_ASSIGN_OR_RETURN(any_key,
+                          ComputeKey(right_keys_, swap_probe_rows_[i], &key));
+    }
+    if (!any_key) {
+      probe_skipped_ = true;
+      return Status::OK();
+    }
+  }
+
   // Build over the materialized left input: key -> left row indexes, kept
   // in left order.
   MR_RETURN_IF_ERROR(left_->Open());
@@ -777,52 +820,33 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
         .GetGauge("sql.join.build_peak_bytes")
         ->UpdateMax(build_bytes_);
   }
-  // From here on the node is a fixed source over swap_pairs_.
-  swap_ready_ = true;
 
-  // An empty build side joins nothing: skip the probe-side scan entirely
-  // when that subtree has no observable side effects to preserve.
-  if (build_rows_ == 0 && right_->SideEffectFree()) {
-    probe_skipped_ = true;
-    return Status::OK();
-  }
-
-  // Materialize the probe side and buffer matches as (left index, probe
-  // index) pairs; within a left row the probe indexes land in right-input
-  // order, so left-major emission reproduces the canonical (left-major,
-  // bucket-in-right-order) output exactly. Joined rows are only built at
-  // emission (SwappedRow), never here — buffering whole rows is what made
-  // the swap lose its build-side savings on cheap keys.
-  MR_RETURN_IF_ERROR(right_->Open());
-  const int64_t probe_estimate = right_->EstimatedRowCount();
-  if (probe_estimate > 0) {
-    swap_probe_rows_.reserve(static_cast<size_t>(probe_estimate));
-  }
-  MR_RETURN_IF_ERROR(
-      DrainOpenedNode(right_.get(), num_threads, &swap_probe_rows_));
+  // Probe every right row (its key errors surface even over an empty
+  // build, as they do in the canonical build) and buffer matches as (left
+  // index, probe index) pairs; within a left row the probe indexes land in
+  // right-input order, so left-major emission reproduces the canonical
+  // (left-major, bucket-in-right-order) output exactly.
   std::vector<std::vector<size_t>> groups(swap_build_rows_.size());
   const size_t total = swap_probe_rows_.size();
+  // Residuals are evaluated while buffering: the pair list must be final
+  // before morsel consumers index it.
   auto probe_range = [&](size_t begin, size_t end,
                          std::vector<std::pair<size_t, size_t>>* out)
       -> Status {
     Row key;
+    JoinResidual::Tally tally;
     for (size_t i = begin; i < end; ++i) {
       MR_ASSIGN_OR_RETURN(bool valid,
                           ComputeKey(right_keys_, swap_probe_rows_[i], &key));
       if (!valid) continue;
       for (size_t l : table.Find(key)) {
-        if (residual_ != nullptr) {
-          // Residuals are evaluated while buffering (the pair list must be
-          // final before morsel consumers index it); the transient joined
-          // row is the price of a residual on a swapped join.
-          Row joined = ConcatRows(swap_build_rows_[l], swap_probe_rows_[i]);
-          MR_ASSIGN_OR_RETURN(bool pass,
-                              EvalPredicate(*residual_, joined, ctx_));
-          if (!pass) continue;
-        }
-        out->emplace_back(l, i);
+        MR_ASSIGN_OR_RETURN(
+            bool pass, residual_.Passes(swap_build_rows_[l],
+                                        swap_probe_rows_[i], ctx_, &tally));
+        if (pass) out->emplace_back(l, i);
       }
     }
+    residual_.Add(tally);
     return Status::OK();
   };
   if (num_threads != 1) {
@@ -881,13 +905,11 @@ Result<bool> HashJoinNode::NextImpl(Row* out) {
   if (spill_ != nullptr) return NextSpill(out);
   while (true) {
     while (bucket_pos_ < current_bucket_.size()) {
-      Row joined = ConcatRows(current_left_,
-                              build_side_[current_bucket_[bucket_pos_++]]);
-      if (residual_ != nullptr) {
-        MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, joined, ctx_));
-        if (!pass) continue;
-      }
-      *out = std::move(joined);
+      const Row& right = build_side_[current_bucket_[bucket_pos_++]];
+      MR_ASSIGN_OR_RETURN(bool pass,
+                          residual_.Passes(current_left_, right, ctx_));
+      if (!pass) continue;
+      *out = ConcatRows(current_left_, right);
       return true;
     }
     MR_ASSIGN_OR_RETURN(bool more, PullLeft(&current_left_));
@@ -901,16 +923,14 @@ Result<bool> HashJoinNode::NextImpl(Row* out) {
 }
 
 Status HashJoinNode::ProbeRow(const Row& left_row, Row* key,
+                              JoinResidual::Tally* tally,
                               std::vector<Row>* out) {
   MR_ASSIGN_OR_RETURN(bool valid, ComputeKey(left_keys_, left_row, key));
   if (!valid) return Status::OK();
   for (uint32_t r : FindBucket(*key)) {
-    Row joined = ConcatRows(left_row, build_side_[r]);
-    if (residual_ != nullptr) {
-      MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, joined, ctx_));
-      if (!pass) continue;
-    }
-    out->push_back(std::move(joined));
+    MR_ASSIGN_OR_RETURN(bool pass, residual_.Passes(left_row, build_side_[r],
+                                                    ctx_, tally));
+    if (pass) out->push_back(ConcatRows(left_row, build_side_[r]));
   }
   return Status::OK();
 }
@@ -923,9 +943,11 @@ Status HashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
     return Status::OK();
   }
   Row key;
+  JoinResidual::Tally tally;
   for (size_t i = begin; i < end; ++i) {
-    MR_RETURN_IF_ERROR(ProbeRow(left_rows_[i], &key, out));
+    MR_RETURN_IF_ERROR(ProbeRow(left_rows_[i], &key, &tally, out));
   }
+  residual_.Add(tally);
   return Status::OK();
 }
 

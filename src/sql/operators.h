@@ -481,8 +481,65 @@ class RowNumberNode : public ExecNode {
   size_t pos_ = 0;
 };
 
-/// Nested-loop join with optional residual predicate evaluated over the
-/// concatenated row. The right side is materialized at Open() for rescans.
+/// The left row's columns followed by the right row's: the one way a join
+/// builds its output row.
+Row ConcatRows(const Row& left, const Row& right);
+
+/// The non-equi part of a join condition, bound against the joined layout
+/// (left columns, then right). It is evaluated on a borrowed pair
+/// (JoinedRow), so a rejected pair is never concatenated. It counts the
+/// pairs it checked and passed for EXPLAIN ANALYZE: serial paths count each
+/// pair, concurrent morsels count into a local Tally and Add it once.
+class JoinResidual {
+ public:
+  struct Tally {
+    int64_t checked = 0;
+    int64_t passed = 0;
+  };
+
+  explicit JoinResidual(ExprPtr predicate) : predicate_(std::move(predicate)) {}
+
+  /// Null for a pure equi (or cross) join.
+  const Expr* get() const { return predicate_.get(); }
+  bool NextValFree() const;
+
+  /// True when the pair passes; always true without a predicate.
+  Result<bool> Passes(const Row& left, const Row& right, ExecContext* ctx,
+                      Tally* tally) const {
+    if (predicate_ == nullptr) return true;
+    ++tally->checked;
+    MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_,
+                                                 JoinedRow{left, right}, ctx));
+    tally->passed += pass ? 1 : 0;
+    return pass;
+  }
+  Result<bool> Passes(const Row& left, const Row& right, ExecContext* ctx) {
+    Tally tally;
+    Result<bool> pass = Passes(left, right, ctx, &tally);
+    Add(tally);
+    return pass;
+  }
+
+  void Add(const Tally& tally) {
+    checked_.fetch_add(tally.checked, std::memory_order_relaxed);
+    passed_.fetch_add(tally.passed, std::memory_order_relaxed);
+  }
+  void Reset() {
+    checked_.store(0, std::memory_order_relaxed);
+    passed_.store(0, std::memory_order_relaxed);
+  }
+  /// residual_checked / residual_passed, when there is a predicate.
+  void AppendCounters(std::vector<std::pair<std::string, int64_t>>* out) const;
+
+ private:
+  ExprPtr predicate_;
+  std::atomic<int64_t> checked_{0};
+  std::atomic<int64_t> passed_{0};
+};
+
+/// Nested-loop join with an optional residual predicate, evaluated on each
+/// pair before it is concatenated. The right side is materialized at Open()
+/// for rescans.
 class NestedLoopJoinNode : public ExecNode {
  public:
   NestedLoopJoinNode(ExecNodePtr left, ExecNodePtr right, ExprPtr predicate,
@@ -505,7 +562,7 @@ class NestedLoopJoinNode : public ExecNode {
  private:
   ExecNodePtr left_;
   ExecNodePtr right_;
-  ExprPtr predicate_;  // may be null (cross join)
+  JoinResidual predicate_;  // empty for a cross join
   ExecContext* ctx_;
   bool pure_ = false;
   std::vector<Row> right_rows_;
@@ -516,7 +573,8 @@ class NestedLoopJoinNode : public ExecNode {
 
 /// Equi hash join: builds a hash table over the right input keyed on
 /// `right_keys`, probes with `left_keys`. A residual predicate (the
-/// non-equi part of the join condition) filters matches. SQL semantics:
+/// non-equi part of the join condition) filters key matches before they are
+/// concatenated. SQL semantics:
 /// NULL keys never match. Every build table is a JoinTable (KeyIndex plus
 /// build-order row-index lists) over the materialized build rows.
 ///
@@ -579,7 +637,8 @@ class HashJoinNode : public ExecNode {
   }
   Status BuildParallel(int num_threads);
   Result<bool> PullLeft(Row* out);
-  Status ProbeRow(const Row& left_row, Row* key, std::vector<Row>* out);
+  Status ProbeRow(const Row& left_row, Row* key, JoinResidual::Tally* tally,
+                  std::vector<Row>* out);
 
   /// Budgeted serial path (ctx->memory_limit >= 0 and pure expressions):
   /// streams the build side under a MemoryAccountant; within budget it
@@ -590,13 +649,14 @@ class HashJoinNode : public ExecNode {
   Result<bool> NextSpill(Row* out);
 
   /// Swapped-build path (swap_build constructor flag): materializes both
-  /// inputs, builds key -> left-row-index buckets over the (small) left
-  /// input, streams the right input through them (morsel-parallel when
-  /// num_threads != 1), and buffers each match as a (left index, right
-  /// index) pair, flattened in left-major order — the canonical output
-  /// order. Joined rows are constructed lazily at emission, so the swap
-  /// never materializes the output twice. After this the node is a plain
-  /// morsel source over swap_pairs_.
+  /// inputs, the right one first and the left one only when the canonical
+  /// build would probe it, builds key -> left-row-index buckets over the
+  /// (small) left input, streams the right input through them
+  /// (morsel-parallel when num_threads != 1), and buffers each match as a
+  /// (left index, right index) pair, flattened in left-major order — the
+  /// canonical output order. Joined rows are constructed lazily at
+  /// emission, so the swap never materializes the output twice. After this
+  /// the node is a plain morsel source over swap_pairs_.
   Status OpenSwapped(int num_threads);
 
   /// The i-th output row of the swapped join, built on demand.
@@ -606,7 +666,7 @@ class HashJoinNode : public ExecNode {
   ExecNodePtr right_;
   std::vector<ExprPtr> left_keys_;
   std::vector<ExprPtr> right_keys_;
-  ExprPtr residual_;  // may be null
+  JoinResidual residual_;
   ExecContext* ctx_;
   bool pure_ = false;      // keys + residual free of NEXTVAL
   bool encodable_ = false; // key types allow KeyIndex encoding (at Open)

@@ -65,14 +65,6 @@ size_t SpillFanOut(const ExecContext* ctx) {
   return ctx->spill_partitions == 0 ? kSpillPartitions : ctx->spill_partitions;
 }
 
-Row SpillConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -228,7 +220,7 @@ namespace {
 /// tagged with the probe-row index, to the shared output file.
 struct GraceJoin {
   ExecContext* ctx;
-  const Expr* residual;  // may be null
+  JoinResidual* residual;
   size_t key_width;
   bool encodable;  // KeyIndex path of the leaf tables
   storage::SpillFile* output;
@@ -361,14 +353,12 @@ struct GraceJoin {
       MR_RETURN_IF_ERROR(
           storage::DecodeRow(record.data(), record.size(), &pos, &row));
       for (uint32_t b : table.Find(key)) {
-        Row joined = SpillConcatRows(row, build_rows[b]);
-        if (residual != nullptr) {
-          MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual, joined, ctx));
-          if (!pass) continue;
-        }
+        MR_ASSIGN_OR_RETURN(bool pass,
+                            residual->Passes(row, build_rows[b], ctx));
+        if (!pass) continue;
         out_record.clear();
         storage::EncodeU64(index, &out_record);
-        storage::EncodeRow(joined, &out_record);
+        storage::EncodeRow(ConcatRows(row, build_rows[b]), &out_record);
         MR_RETURN_IF_ERROR(output->Append(out_record));
       }
     }
@@ -500,7 +490,7 @@ Status HashJoinNode::OpenBudget() {
                       storage::SpillFile::Create(ctx_->spill_dir));
 
   GraceJoin grace{ctx_,
-                  residual_.get(),
+                  &residual_,
                   right_keys_.size(),
                   encodable_,
                   spill_->output.get(),

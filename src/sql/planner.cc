@@ -472,27 +472,41 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::BuildLeftDeep(
   ExecNodePtr current = std::move(inputs[order[0]]);
   BindScope scope = std::move(scopes[order[0]]);
 
-  // Every conjunct becomes a filter at the lowest level where all its
-  // columns are visible.
-  auto apply_ready_filters = [&]() -> Status {
+  // Binds and takes every unapplied conjunct that binds in `in`, ANDed
+  // together; null when none does.
+  auto take_bindable = [&](const BindScope& in) -> Result<ExprPtr> {
     std::vector<ExprPtr> ready;
     for (size_t c = 0; c < conj.size(); ++c) {
-      if (applied[c] || !ExprBindableIn(*conj[c], scope)) continue;
-      MR_RETURN_IF_ERROR(BindExpr(conj[c].get(), scope, false));
+      if (applied[c] || !ExprBindableIn(*conj[c], in)) continue;
+      MR_RETURN_IF_ERROR(BindExpr(conj[c].get(), in, false));
       ready.push_back(std::move(conj[c]));
       applied[c] = true;
     }
-    if (ExprPtr pred = AndTogether(std::move(ready))) {
-      current = MakeFilterNode(std::move(current), std::move(pred), ctx_);
-      if (hooks.placed) hooks.placed(current.get(), false);
-    }
-    return Status::OK();
+    return AndTogether(std::move(ready));
+  };
+  // A WHERE conjunct may be evaluated on any row of the input it references
+  // (DESIGN.md §14), so a single-input conjunct filters its input below the
+  // join. NEXTVAL anywhere keeps every conjunct at the join it completes,
+  // where its evaluation count and order are the statement's.
+  const bool push_down =
+      std::none_of(conj.begin(), conj.end(), [](const ExprPtr& c) {
+        return c != nullptr && ContainsNextVal(*c);
+      });
+  auto filter = [&](ExecNodePtr* node, ExprPtr pred) {
+    if (pred == nullptr) return;
+    *node = MakeFilterNode(std::move(*node), std::move(pred), ctx_);
+    if (hooks.placed) hooks.placed(node->get(), false);
   };
 
-  MR_RETURN_IF_ERROR(apply_ready_filters());
+  MR_ASSIGN_OR_RETURN(ExprPtr first, take_bindable(scope));
+  filter(&current, std::move(first));
 
   for (size_t k = 1; k < order.size(); ++k) {
     const size_t t = order[k];
+    if (push_down) {
+      MR_ASSIGN_OR_RETURN(ExprPtr local, take_bindable(scopes[t]));
+      filter(&inputs[t], std::move(local));
+    }
     // Harvest equi-join keys between the accumulated left side and input t.
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;
@@ -514,7 +528,7 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::BuildLeftDeep(
         continue;
       }
       // A key usable on both sides (e.g. a literal) is a filter, not a join
-      // key; skip it here and let apply_ready_filters handle it.
+      // key; skip it here and let the residual take it.
       if (ExprBindableIn(**right_side, scope) ||
           ExprBindableIn(**left_side, scopes[t])) {
         continue;
@@ -526,18 +540,22 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::BuildLeftDeep(
       applied[c] = true;
     }
 
+    // Every conjunct the join makes bindable is its residual, evaluated on
+    // each candidate pair before the pair is concatenated.
     const bool build_left = hooks.before_join && hooks.before_join(t);
+    BindScope joined = scope;
+    joined.Append(scopes[t]);
+    MR_ASSIGN_OR_RETURN(ExprPtr residual, take_bindable(joined));
     if (!left_keys.empty()) {
       current = std::make_unique<HashJoinNode>(
           std::move(current), std::move(inputs[t]), std::move(left_keys),
-          std::move(right_keys), nullptr, ctx_, build_left);
+          std::move(right_keys), std::move(residual), ctx_, build_left);
     } else {
       current = std::make_unique<NestedLoopJoinNode>(
-          std::move(current), std::move(inputs[t]), nullptr, ctx_);
+          std::move(current), std::move(inputs[t]), std::move(residual), ctx_);
     }
     if (hooks.placed) hooks.placed(current.get(), true);
-    scope.Append(scopes[t]);
-    MR_RETURN_IF_ERROR(apply_ready_filters());
+    scope = std::move(joined);
     if (hooks.after_join) hooks.after_join(current.get());
   }
 

@@ -36,10 +36,13 @@ struct PlannedSelect {
 /// planner harvests equality conjuncts from WHERE whose two sides bind
 /// against the accumulated left side and the incoming table respectively and
 /// uses them as hash-join keys; tables without usable keys fall back to a
-/// nested-loop (cross) join. Every conjunct is applied as a filter at the
-/// lowest level where all its columns are visible. This is what makes the
-/// preprocessor's multi-way encoding joins (Q4) and the elementary-rule
-/// self-join (Q8) run in roughly linear time.
+/// nested-loop (cross) join. Every other conjunct is placed where it first
+/// binds (DESIGN.md §14): one that binds in a single input filters that
+/// input below the join, and one that spans inputs is the residual of the
+/// join that completes it, checked on each candidate pair before the pair is
+/// concatenated. This is what makes the preprocessor's multi-way encoding
+/// joins (Q4) and the elementary-rule self-join (Q8) run in roughly linear
+/// time.
 ///
 /// One rule decides whether a FROM list is planned from statistics
 /// (DESIGN.md §14): every entry must be a base table whose statistics
@@ -77,16 +80,18 @@ class Planner {
     /// Before input `t` joins in; true builds the hash table over the left
     /// (accumulated) input instead of input `t`.
     std::function<bool(size_t t)> before_join;
-    /// On each node placed: a join, or a filter of conjuncts made ready.
+    /// On each node placed: a join, or a filter over one input.
     std::function<void(ExecNode* node, bool join)> placed;
-    /// After input `t` joined and the filters it made ready were placed.
+    /// After input `t` joined.
     std::function<void(const ExecNode* top)> after_join;
   };
 
   /// The one left-deep build: joins `inputs` in `order`, harvesting
   /// equi-join keys between the accumulated side and each incoming input
-  /// (hash join; nested loop without keys), and places every conjunct not
-  /// yet `applied` as a filter at the lowest level where it binds.
+  /// (hash join; nested loop without keys). Every conjunct not yet
+  /// `applied` goes where it first binds: a filter over the one input it
+  /// references (unless any conjunct contains NEXTVAL), or the residual of
+  /// the join that makes it bindable.
   Result<std::pair<ExecNodePtr, BindScope>> BuildLeftDeep(
       std::vector<ExecNodePtr> inputs, std::vector<BindScope> scopes,
       const std::vector<size_t>& order, std::vector<ExprPtr>* conjuncts,

@@ -56,7 +56,8 @@ class ObservabilityTest : public ::testing::Test {
 // Non-ANALYZE EXPLAIN output carries no timings or row counts, so it is
 // deterministic — pinned here as a golden plan. A memory budget (here one
 // that never spills) keeps the row TableScan/Filter that feed the spill
-// operators: the engine's one executor selection rule (DESIGN.md §12).
+// operators: the engine's one executor selection rule (DESIGN.md §12). A
+// conjunct on one input filters that input below the join (DESIGN.md §14).
 TEST_F(ObservabilityTest, ExplainGoldenPlan) {
   SetUpSmallTables();
   system_.sql_engine()->set_memory_limit(std::numeric_limits<int64_t>::max());
@@ -65,9 +66,9 @@ TEST_F(ObservabilityTest, ExplainGoldenPlan) {
             "Limit (2)\n"
             "  -> Sort (b)\n"
             "    -> Project (t.b, s.c)\n"
-            "      -> Filter ((s.c > 1))\n"
-            "        -> HashJoin (t.a = s.a)\n"
-            "          -> TableScan (t)\n"
+            "      -> HashJoin (t.a = s.a)\n"
+            "        -> TableScan (t)\n"
+            "        -> Filter ((s.c > 1))\n"
             "          -> TableScan (s)\n");
   EXPECT_EQ(Plan("EXPLAIN SELECT a, COUNT(*) FROM t GROUP BY a "
                  "HAVING COUNT(*) > 0"),
@@ -93,9 +94,9 @@ TEST_F(ObservabilityTest, ExplainGoldenPlanVectorized) {
             "Limit (2)\n"
             "  -> Sort (b)\n"
             "    -> Project (t.b, s.c)\n"
-            "      -> Filter ((s.c > 1))\n"
-            "        -> HashJoin (t.a = s.a)\n"
-            "          -> VecScan (t)\n"
+            "      -> HashJoin (t.a = s.a)\n"
+            "        -> VecScan (t)\n"
+            "        -> VecFilter ((s.c > 1))\n"
             "          -> VecScan (s)\n");
   EXPECT_EQ(Plan("EXPLAIN SELECT a, COUNT(*) FROM t GROUP BY a "
                  "HAVING COUNT(*) > 0"),
@@ -108,6 +109,61 @@ TEST_F(ObservabilityTest, ExplainGoldenPlanVectorized) {
             "Project (b)\n"
             "  -> VecFilter ((a >= 2))\n"
             "    -> VecScan (t)\n");
+}
+
+// Conjuncts that span both inputs of a join are the join's residual: the
+// hash join renders it after its keys, a keyless join as its predicate.
+// Single-input conjuncts still filter their own inputs.
+TEST_F(ObservabilityTest, ExplainGoldenPlanJoinResidual) {
+  SetUpSmallTables();
+  EXPECT_EQ(Plan("EXPLAIN SELECT t.b, s.c FROM t, s WHERE t.a = s.a AND "
+                 "t.a < s.c AND s.c > 1 AND t.b <> 'q'"),
+            "Project (t.b, s.c)\n"
+            "  -> HashJoin (t.a = s.a AND (t.a < s.c))\n"
+            "    -> VecFilter ((t.b <> 'q'))\n"
+            "      -> VecScan (t)\n"
+            "    -> VecFilter ((s.c > 1))\n"
+            "      -> VecScan (s)\n");
+  EXPECT_EQ(Plan("EXPLAIN SELECT t.b FROM t, s WHERE t.a <> s.a AND s.c > 2"),
+            "Project (t.b)\n"
+            "  -> NestedLoopJoin ((t.a <> s.a))\n"
+            "    -> VecScan (t)\n"
+            "    -> VecFilter ((s.c > 2))\n"
+            "      -> VecScan (s)\n");
+}
+
+// The residual's useful/attempted ratio: of the two key matches (1, 1.5)
+// and (2, 2.5), only the second has t.a * s.c > 2. Every join path — the
+// serial probe, the parallel probe, the budgeted serial join and the spilled
+// grace join — counts the same pairs.
+TEST_F(ObservabilityTest, ExplainAnalyzeCountsResidualPairs) {
+  SetUpSmallTables();
+  for (int threads : {1, 4}) {
+    for (int64_t budget :
+         {int64_t{-1}, std::numeric_limits<int64_t>::max(), int64_t{0}}) {
+      system_.sql_engine()->set_num_threads(threads);
+      system_.sql_engine()->set_memory_limit(budget);
+      const std::string plan = Plan(
+          "EXPLAIN ANALYZE SELECT t.b FROM t, s WHERE t.a = s.a AND "
+          "t.a * s.c > 2");
+      const size_t at = plan.find("HashJoin (t.a = s.a AND ((t.a * s.c) > 2))");
+      ASSERT_NE(at, std::string::npos) << plan;
+      const std::string line = plan.substr(at, plan.find('\n', at) - at);
+      EXPECT_NE(line.find(" rows=1"), std::string::npos) << line;
+      EXPECT_NE(line.find("residual_checked=2"), std::string::npos)
+          << threads << " threads, budget " << budget << ": " << line;
+      EXPECT_NE(line.find("residual_passed=1"), std::string::npos)
+          << threads << " threads, budget " << budget << ": " << line;
+      EXPECT_EQ(line.find("spill_partitions=") != std::string::npos,
+                budget == 0)
+          << line;
+    }
+  }
+  // A pure equi-join has no residual to count.
+  system_.sql_engine()->set_memory_limit(-1);
+  const std::string plain =
+      Plan("EXPLAIN ANALYZE SELECT t.b FROM t, s WHERE t.a = s.a");
+  EXPECT_EQ(plain.find("residual_checked"), std::string::npos) << plain;
 }
 
 TEST_F(ObservabilityTest, ExplainAnalyzeVectorizedBatchCounters) {

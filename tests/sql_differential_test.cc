@@ -13,10 +13,29 @@
 #include <vector>
 
 #include "common/random.h"
+#include "relational/date.h"
 #include "sql/engine.h"
 
 namespace minerule::sql {
 namespace {
+
+/// Exact rendering: type, text and the sign of a double (-0.0, -NaN).
+std::string Render(const std::vector<Row>& rows) {
+  std::string out;
+  for (const Row& row : rows) {
+    for (const Value& v : row) {
+      out += DataTypeName(v.type());
+      out += ':';
+      out += v.ToString();
+      if (v.type() == DataType::kDouble && std::signbit(v.AsDouble())) {
+        out += "(neg)";
+      }
+      out += ' ';
+    }
+    out += '\n';
+  }
+  return out;
+}
 
 class SqlDifferentialTest : public ::testing::TestWithParam<uint64_t> {
  protected:
@@ -286,24 +305,6 @@ class KeyClassSqlDifferentialTest
     return catalog_.GetTable(name).value()->rows();
   }
 
-  /// Exact rendering: type, text and the sign of a double (-0.0, -NaN).
-  static std::string Render(const std::vector<Row>& rows) {
-    std::string out;
-    for (const Row& row : rows) {
-      for (const Value& v : row) {
-        out += DataTypeName(v.type());
-        out += ':';
-        out += v.ToString();
-        if (v.type() == DataType::kDouble && std::signbit(v.AsDouble())) {
-          out += "(neg)";
-        }
-        out += ' ';
-      }
-      out += '\n';
-    }
-    return out;
-  }
-
   /// Checks DISTINCT, GROUP BY (merge-exact and SUM aggregates) and the
   /// hash join on the first `width` columns against the references.
   void CheckAll(size_t width, const std::string& keys,
@@ -432,6 +433,196 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 8),
                        ::testing::Values(int64_t{-1}, int64_t{1024}),
                        ::testing::Bool()));
+
+// Conjunct placement (DESIGN.md §14): single-input conjuncts filter their
+// input below the join, and conjuncts spanning inputs are each join's
+// residual, checked on the borrowed row pair before it is concatenated.
+// Three random tables with NULLs in INTEGER, DOUBLE, VARCHAR and DATE
+// columns; local predicates on the 2nd and 3rd FROM entries and `<`/`<>`
+// residuals across inputs, over base tables and over a view plus a
+// subquery. Every run — threads {1, 2, 8} x budget {none, 0} x {FROM-order
+// plan, plan from statistics with a swapped build} — must return the same
+// rows in the same order, equal to a nested-loop reference computed here.
+class ConjunctPlacementDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr int kARows = 60;
+  static constexpr int kBRows = 1500;  // large enough to swap the build
+  static constexpr int kCRows = 40;
+
+  ConjunctPlacementDifferentialTest()
+      : plain_(&catalog_), analyzed_(&catalog_) {}
+
+  void GenerateTables() {
+    Random rng(GetParam());
+    auto maybe = [&](Value v) {
+      return rng.NextBool(0.1) ? Value::Null() : v;
+    };
+    auto text = [&] {
+      return Value::String(
+          std::string(1, static_cast<char>('a' + rng.NextInt(0, 5))));
+    };
+    auto a = catalog_.CreateTable("A", Schema({{"k", DataType::kInteger},
+                                               {"v", DataType::kInteger},
+                                               {"s", DataType::kString}}));
+    auto b = catalog_.CreateTable("B", Schema({{"k", DataType::kInteger},
+                                               {"j", DataType::kInteger},
+                                               {"w", DataType::kDouble},
+                                               {"x", DataType::kInteger}}));
+    auto c = catalog_.CreateTable("C", Schema({{"j", DataType::kInteger},
+                                               {"d", DataType::kDate},
+                                               {"s", DataType::kString},
+                                               {"y", DataType::kDouble}}));
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+    for (int i = 0; i < kARows; ++i) {
+      a.value()->AppendUnchecked({maybe(Value::Integer(rng.NextInt(0, 14))),
+                                  maybe(Value::Integer(rng.NextInt(0, 99))),
+                                  maybe(text())});
+    }
+    for (int i = 0; i < kBRows; ++i) {
+      b.value()->AppendUnchecked({maybe(Value::Integer(rng.NextInt(0, 14))),
+                                  maybe(Value::Integer(rng.NextInt(0, 9))),
+                                  maybe(Value::Double(rng.NextDouble() * 100)),
+                                  maybe(Value::Integer(rng.NextInt(0, 9)))});
+    }
+    const int32_t jan1 = date::FromCivil(1995, 1, 1);
+    for (int i = 0; i < kCRows; ++i) {
+      c.value()->AppendUnchecked(
+          {maybe(Value::Integer(rng.NextInt(0, 9))),
+           maybe(Value::Date(jan1 + static_cast<int32_t>(rng.NextInt(0, 364)))),
+           maybe(text()), maybe(Value::Double(rng.NextDouble()))});
+    }
+    Execute(&plain_, "CREATE VIEW BV AS SELECT k, j, w, x FROM B");
+    Execute(&analyzed_, "ANALYZE");
+  }
+
+  std::vector<Row> Execute(SqlEngine* engine, const std::string& sql) {
+    auto result = engine->Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
+    return result.ok() ? result.value().rows : std::vector<Row>{};
+  }
+
+  /// The unbudgeted EXPLAIN text of `sql`.
+  std::string Explain(SqlEngine* engine, const std::string& sql) {
+    engine->set_memory_limit(-1);
+    std::string plan;
+    for (const Row& row : Execute(engine, "EXPLAIN " + sql)) {
+      plan += row[0].AsString() + "\n";
+    }
+    return plan;
+  }
+
+  static bool Less(const Value& a, const Value& b) {
+    if (a.is_null() || b.is_null()) return false;
+    Result<int> cmp = a.SqlCompare(b);
+    return cmp.ok() && *cmp < 0;
+  }
+  static bool NotEq(const Value& a, const Value& b) {
+    if (a.is_null() || b.is_null()) return false;
+    Result<int> cmp = a.SqlCompare(b);
+    return cmp.ok() && *cmp != 0;
+  }
+  static bool Eq(const Value& a, const Value& b) {
+    return !a.is_null() && !b.is_null() && !NotEq(a, b);
+  }
+
+  /// The nested-loop reference of the statements below: A-major, then B
+  /// and C in table order. `c_filter` is the subquery's own predicate.
+  std::vector<Row> Reference(bool c_filter) {
+    const std::vector<Row>& a = catalog_.GetTable("A").value()->rows();
+    const std::vector<Row>& b = catalog_.GetTable("B").value()->rows();
+    const std::vector<Row>& c = catalog_.GetTable("C").value()->rows();
+    const Value two = Value::Integer(2);
+    const Value july = Value::Date(date::FromCivil(1995, 7, 1));
+    std::vector<Row> out;
+    for (const Row& ra : a) {
+      for (const Row& rb : b) {
+        // A.k = B.k AND B.x > 2 AND A.v < B.w
+        if (!Eq(ra[0], rb[0]) || !Less(two, rb[3]) || !Less(ra[1], rb[2])) {
+          continue;
+        }
+        for (const Row& rc : c) {
+          // B.j = C.j AND C.d < '1995-07-01' AND A.s <> C.s
+          if (c_filter && rc[3].is_null()) continue;
+          if (!Eq(rb[1], rc[0]) || !Less(rc[1], july) || !NotEq(ra[2], rc[2])) {
+            continue;
+          }
+          out.push_back({ra[1], ra[2], rb[2], rb[3], rc[1], rc[2]});
+        }
+      }
+    }
+    return out;
+  }
+
+  /// Runs `sql` on every thread count, budget and planner; every result
+  /// must equal `expected`, rows and order.
+  void CheckEveryRun(const std::string& sql, const std::vector<Row>& expected) {
+    const std::string want = Render(expected);
+    for (SqlEngine* engine : {&plain_, &analyzed_}) {
+      for (int threads : {1, 2, 8}) {
+        for (int64_t budget : {int64_t{-1}, int64_t{0}}) {
+          engine->set_num_threads(threads);
+          engine->set_memory_limit(budget);
+          EXPECT_EQ(Render(Execute(engine, sql)), want)
+              << sql << "\n" << (engine == &plain_ ? "FROM order" : "analyzed")
+              << ", " << threads << " threads, budget " << budget;
+        }
+      }
+    }
+  }
+
+  Catalog catalog_;
+  SqlEngine plain_;
+  SqlEngine analyzed_;
+};
+
+TEST_P(ConjunctPlacementDifferentialTest, BaseTables) {
+  GenerateTables();
+  const std::string sql =
+      "SELECT A.v, A.s, B.w, B.x, C.d, C.s FROM A, B, C "
+      "WHERE A.k = B.k AND B.j = C.j AND B.x > 2 AND C.d < '1995-07-01' "
+      "AND A.v < B.w AND A.s <> C.s";
+  const std::vector<Row> expected = Reference(/*c_filter=*/false);
+  ASSERT_FALSE(expected.empty());
+
+  // Both plans push the local conjuncts and keep the residuals in the
+  // joins; the plan from statistics builds the first join over A.
+  for (SqlEngine* engine : {&plain_, &analyzed_}) {
+    const std::string plan = Explain(engine, sql);
+    EXPECT_EQ(plan.find("-> Filter"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("VecFilter ((B.x > 2))"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("(A.v < B.w)"), std::string::npos) << plan;
+    EXPECT_NE(plan.find("(A.s <> C.s)"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("[build=left]") != std::string::npos,
+              engine == &analyzed_)
+        << plan;
+  }
+  CheckEveryRun(sql, expected);
+}
+
+TEST_P(ConjunctPlacementDifferentialTest, ViewAndSubqueryInputs) {
+  GenerateTables();
+  const std::string sql =
+      "SELECT A.v, A.s, BV.w, BV.x, SC.d, SC.s FROM A, BV, "
+      "(SELECT j, d, s FROM C WHERE y IS NOT NULL) AS SC "
+      "WHERE A.k = BV.k AND BV.j = SC.j AND BV.x > 2 AND SC.d < '1995-07-01' "
+      "AND A.v < BV.w AND A.s <> SC.s";
+  const std::vector<Row> expected = Reference(/*c_filter=*/true);
+  ASSERT_FALSE(expected.empty());
+
+  // The view's conjunct is a row Filter over the view's plan, below the
+  // join; the residuals are in the joins.
+  const std::string plan = Explain(&analyzed_, sql);
+  EXPECT_NE(plan.find("HashJoin (A.k = BV.k AND (A.v < BV.w))"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("AND (A.s <> SC.s))"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("  -> Filter ((BV.x > 2))"), std::string::npos) << plan;
+  CheckEveryRun(sql, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConjunctPlacementDifferentialTest,
+                         ::testing::Values(5u, 77u, 2718u));
 
 }  // namespace
 }  // namespace minerule::sql

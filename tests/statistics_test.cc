@@ -466,6 +466,94 @@ TEST_F(CostBasedPlanningTest, LimitRecordsNoFeedback) {
   EXPECT_GT(engine_.feedback()->size(), 0u);
 }
 
+// A WHERE conjunct may be evaluated on any row of the input it references
+// (DESIGN.md §14), in every plan. So `10 / s.z > 0` divides by zero on s's
+// row (3, 0) whether or not that row joins, and the statement's outcome —
+// the same Status, or the same rows — cannot depend on whether ANALYZE ran.
+TEST_F(CostBasedPlanningTest, SingleInputConjunctOutcomeIndependentOfAnalyze) {
+  MustExecute("CREATE TABLE t (a INTEGER, b INTEGER)");
+  MustExecute("INSERT INTO t VALUES (1, 10), (2, 20)");
+  MustExecute("CREATE TABLE s (a INTEGER, z INTEGER)");
+  MustExecute("INSERT INTO s VALUES (1, 5), (3, 0)");
+  const std::vector<std::string> queries = {
+      "SELECT t.b FROM t, s WHERE t.a = s.a AND 10 / s.z > 0",
+      "SELECT t.b FROM t, s WHERE t.a = s.a AND 10 / (s.z + 1) > 0",
+      "SELECT t.b FROM s, t WHERE t.a = s.a AND 10 / s.z > 0",
+  };
+  std::vector<Result<QueryResult>> before;
+  for (const std::string& query : queries) {
+    before.push_back(engine_.Execute(query));
+  }
+  MustExecute("ANALYZE");
+  for (size_t i = 0; i < queries.size(); ++i) {
+    Result<QueryResult> after = engine_.Execute(queries[i]);
+    ASSERT_EQ(after.ok(), before[i].ok()) << queries[i];
+    if (!after.ok()) {
+      EXPECT_EQ(after.status(), before[i].status()) << queries[i];
+      EXPECT_NE(after.status().message().find("division by zero"),
+                std::string::npos)
+          << after.status();
+      continue;
+    }
+    EXPECT_EQ(Dump(after.value()), Dump(before[i].value())) << queries[i];
+    EXPECT_EQ(Dump(after.value()), "10|\n") << queries[i];
+  }
+}
+
+// The swapped build runs the subtrees the canonical build runs: the right
+// input always, the left only when some right row has a key. So a failing
+// conjunct on one side fails, or is skipped, alike with and without the
+// swap: `10 / big.z` fails on big's z = 0 row although small's filtered
+// side is empty, and `10 / small.d` is never evaluated when big's filtered
+// side is empty.
+TEST_F(CostBasedPlanningTest, SwappedBuildOutcomeIndependentOfAnalyze) {
+  MustExecute("CREATE TABLE small (k INTEGER, tag VARCHAR, d INTEGER)");
+  MustExecute("CREATE TABLE big (k INTEGER, z INTEGER)");
+  std::string small_rows;
+  for (int i = 0; i < 200; ++i) {
+    small_rows += (i ? "," : "");
+    small_rows += "(" + std::to_string(i) + ", 'tag" + std::to_string(i % 7) +
+                  "', " + std::to_string(i) + ")";
+  }
+  MustExecute("INSERT INTO small VALUES " + small_rows);
+  std::string big_rows;
+  for (int i = 0; i < 4000; ++i) {
+    big_rows += (i ? "," : "");
+    big_rows += "(" + std::to_string(i % 200) + ", " + (i ? "1" : "0") + ")";
+  }
+  MustExecute("INSERT INTO big VALUES " + big_rows);
+  const std::vector<std::string> queries = {
+      "SELECT COUNT(*) FROM small, big WHERE small.k = big.k "
+      "AND small.tag = 'none' AND 10 / big.z > 0",
+      "SELECT COUNT(*) FROM small, big WHERE small.k = big.k "
+      "AND 10 / small.d > 0 AND big.z + 0 > 5",
+  };
+  std::vector<Result<QueryResult>> before;
+  for (const std::string& query : queries) {
+    before.push_back(engine_.Execute(query));
+  }
+  MustExecute("ANALYZE");
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_NE(Plan("EXPLAIN " + queries[i]).find("[build=left]"),
+              std::string::npos)
+        << queries[i];
+    for (int threads : {1, 4}) {
+      engine_.set_num_threads(threads);
+      Result<QueryResult> after = engine_.Execute(queries[i]);
+      ASSERT_EQ(after.ok(), before[i].ok()) << queries[i];
+      if (!after.ok()) {
+        EXPECT_EQ(after.status(), before[i].status()) << queries[i];
+        continue;
+      }
+      EXPECT_EQ(Dump(after.value()), Dump(before[i].value())) << queries[i];
+    }
+    engine_.set_num_threads(1);
+  }
+  EXPECT_FALSE(before[0].ok());
+  ASSERT_TRUE(before[1].ok());
+  EXPECT_EQ(Dump(before[1].value()), "0|\n");
+}
+
 // Planning from statistics changes plans, never results: spot-check a grab
 // bag of query shapes against the FROM-order plans of an engine that never
 // analyzed.
