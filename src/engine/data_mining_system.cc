@@ -17,12 +17,11 @@ namespace minerule::mr {
 
 namespace {
 
-Result<int64_t> IntAt(const Row& row, size_t index) {
-  if (index >= row.size() || row[index].type() != DataType::kInteger) {
-    return Status::Internal("encoded table column " + std::to_string(index) +
-                            " is not an integer");
-  }
-  return row[index].AsInteger();
+/// The error for a value of an encoded table that is not an integer;
+/// `position` counts the columns read.
+Status NotAnInteger(size_t position) {
+  return Status::Internal("encoded table column " + std::to_string(position) +
+                          " is not an integer");
 }
 
 /// Visits `relation` and, for a view, everything its SELECT reads, up to
@@ -224,45 +223,75 @@ std::string MiningRunStats::ToJson() const {
   return w.str();
 }
 
+Result<std::vector<int64_t>> DataMiningSystem::ReadEncoded(
+    const std::string& relation, const std::vector<std::string>& columns) {
+  // A view (the general class's DISTINCT CodedSourceB/H) is a query: the
+  // engine runs it. A base table is read in place, in row order, as the
+  // engine's scan would return it, with no result set in between.
+  std::vector<size_t> indices;
+  std::optional<sql::QueryResult> view_rows;
+  std::shared_ptr<Table> table;
+  if (catalog_->HasView(relation)) {
+    MR_ASSIGN_OR_RETURN(view_rows,
+                        sql_engine_.Execute("SELECT " + Join(columns, ", ") +
+                                            " FROM " + relation));
+    for (size_t c = 0; c < columns.size(); ++c) indices.push_back(c);
+  } else {
+    MR_ASSIGN_OR_RETURN(table, catalog_->GetTable(relation));
+    for (const std::string& column : columns) {
+      MR_ASSIGN_OR_RETURN(size_t index, table->schema().ResolveColumn(column));
+      indices.push_back(index);
+    }
+  }
+  const std::vector<Row>& rows = table ? table->rows() : view_rows->rows;
+  std::vector<int64_t> values;
+  values.reserve(rows.size() * indices.size());
+  for (const Row& row : rows) {
+    for (size_t c = 0; c < indices.size(); ++c) {
+      const size_t index = indices[c];
+      if (index >= row.size() || row[index].type() != DataType::kInteger) {
+        return NotAnInteger(c);
+      }
+      values.push_back(row[index].AsInteger());
+    }
+  }
+  return values;
+}
+
 Result<mining::CodedSourceData> DataMiningSystem::FetchEncodedData(
     const PreprocessProgram& program, const Directives& directives) {
   mining::CodedSourceData data;
 
   if (!program.coded_source.empty()) {
-    MR_ASSIGN_OR_RETURN(
-        sql::QueryResult coded,
-        sql_engine_.Execute("SELECT Gid, Bid FROM " + program.coded_source));
-    data.simple_pairs.reserve(coded.rows.size());
-    for (const Row& row : coded.rows) {
-      MR_ASSIGN_OR_RETURN(int64_t gid, IntAt(row, 0));
-      MR_ASSIGN_OR_RETURN(int64_t bid, IntAt(row, 1));
-      data.simple_pairs.emplace_back(static_cast<mining::Gid>(gid),
-                                     static_cast<mining::ItemId>(bid));
+    MR_ASSIGN_OR_RETURN(std::vector<int64_t> values,
+                        ReadEncoded(program.coded_source, {"Gid", "Bid"}));
+    data.simple_pairs.reserve(values.size() / 2);
+    for (size_t i = 0; i < values.size(); i += 2) {
+      data.simple_pairs.emplace_back(
+          static_cast<mining::Gid>(values[i]),
+          static_cast<mining::ItemId>(values[i + 1]));
     }
     return data;
   }
 
-  auto fetch_role = [&](const std::string& table, const char* item_col,
+  // Role rows are (Gid[, Cid], item); without clusters every item belongs
+  // to the group's one implicit cluster.
+  auto fetch_role = [&](const std::string& relation, const char* item_col,
                         std::vector<mining::CodedSourceData::RoleRow>* out)
       -> Status {
-    const std::string cols = directives.C
-                                 ? "Gid, Cid, " + std::string(item_col)
-                                 : "Gid, " + std::string(item_col);
-    MR_ASSIGN_OR_RETURN(sql::QueryResult rows, sql_engine_.Execute(
-                            "SELECT " + cols + " FROM " + table));
-    out->reserve(rows.rows.size());
-    for (const Row& row : rows.rows) {
-      MR_ASSIGN_OR_RETURN(int64_t gid, IntAt(row, 0));
-      int64_t cid = mining::kNoCluster;
-      size_t item_index = 1;
-      if (directives.C) {
-        MR_ASSIGN_OR_RETURN(cid, IntAt(row, 1));
-        item_index = 2;
-      }
-      MR_ASSIGN_OR_RETURN(int64_t item, IntAt(row, item_index));
-      out->push_back({static_cast<mining::Gid>(gid),
-                      static_cast<mining::Cid>(cid),
-                      static_cast<mining::ItemId>(item)});
+    std::vector<std::string> columns = {"Gid"};
+    if (directives.C) columns.push_back("Cid");
+    columns.push_back(item_col);
+    MR_ASSIGN_OR_RETURN(std::vector<int64_t> values,
+                        ReadEncoded(relation, columns));
+    const size_t width = columns.size();
+    out->reserve(values.size() / width);
+    for (size_t i = 0; i < values.size(); i += width) {
+      out->push_back(
+          {static_cast<mining::Gid>(values[i]),
+           directives.C ? static_cast<mining::Cid>(values[i + 1])
+                        : mining::kNoCluster,
+           static_cast<mining::ItemId>(values[i + width - 1])});
     }
     return Status::OK();
   };
@@ -275,44 +304,36 @@ Result<mining::CodedSourceData> DataMiningSystem::FetchEncodedData(
   }
 
   if (!program.cluster_couples.empty()) {
-    MR_ASSIGN_OR_RETURN(sql::QueryResult couples,
-                        sql_engine_.Execute("SELECT Gid, BCid, HCid FROM " +
-                                            program.cluster_couples));
-    for (const Row& row : couples.rows) {
-      MR_ASSIGN_OR_RETURN(int64_t gid, IntAt(row, 0));
-      MR_ASSIGN_OR_RETURN(int64_t bcid, IntAt(row, 1));
-      MR_ASSIGN_OR_RETURN(int64_t hcid, IntAt(row, 2));
-      data.cluster_couples.emplace_back(static_cast<mining::Gid>(gid),
-                                        static_cast<mining::Cid>(bcid),
-                                        static_cast<mining::Cid>(hcid));
+    MR_ASSIGN_OR_RETURN(
+        std::vector<int64_t> values,
+        ReadEncoded(program.cluster_couples, {"Gid", "BCid", "HCid"}));
+    data.cluster_couples.reserve(values.size() / 3);
+    for (size_t i = 0; i < values.size(); i += 3) {
+      data.cluster_couples.emplace_back(
+          static_cast<mining::Gid>(values[i]),
+          static_cast<mining::Cid>(values[i + 1]),
+          static_cast<mining::Cid>(values[i + 2]));
     }
   }
 
   if (!program.input_rules.empty()) {
-    const std::string cols =
-        directives.C ? "Gid, BCid, HCid, Bid, Hid" : "Gid, Bid, Hid";
-    MR_ASSIGN_OR_RETURN(
-        sql::QueryResult rules,
-        sql_engine_.Execute("SELECT " + cols + " FROM " +
-                            program.input_rules));
-    for (const Row& row : rules.rows) {
+    const std::vector<std::string> columns =
+        directives.C ? std::vector<std::string>{"Gid", "BCid", "HCid", "Bid",
+                                                "Hid"}
+                     : std::vector<std::string>{"Gid", "Bid", "Hid"};
+    MR_ASSIGN_OR_RETURN(std::vector<int64_t> values,
+                        ReadEncoded(program.input_rules, columns));
+    const size_t width = columns.size();
+    data.input_rules.reserve(values.size() / width);
+    for (size_t i = 0; i < values.size(); i += width) {
       mining::GeneralInput::ElementaryOccurrence occ;
-      MR_ASSIGN_OR_RETURN(int64_t gid, IntAt(row, 0));
-      occ.gid = static_cast<mining::Gid>(gid);
-      size_t next = 1;
-      if (directives.C) {
-        MR_ASSIGN_OR_RETURN(int64_t bcid, IntAt(row, next++));
-        MR_ASSIGN_OR_RETURN(int64_t hcid, IntAt(row, next++));
-        occ.bcid = static_cast<mining::Cid>(bcid);
-        occ.hcid = static_cast<mining::Cid>(hcid);
-      } else {
-        occ.bcid = mining::kNoCluster;
-        occ.hcid = mining::kNoCluster;
-      }
-      MR_ASSIGN_OR_RETURN(int64_t bid, IntAt(row, next++));
-      MR_ASSIGN_OR_RETURN(int64_t hid, IntAt(row, next++));
-      occ.bid = static_cast<mining::ItemId>(bid);
-      occ.hid = static_cast<mining::ItemId>(hid);
+      occ.gid = static_cast<mining::Gid>(values[i]);
+      occ.bcid = directives.C ? static_cast<mining::Cid>(values[i + 1])
+                              : mining::kNoCluster;
+      occ.hcid = directives.C ? static_cast<mining::Cid>(values[i + 2])
+                              : mining::kNoCluster;
+      occ.bid = static_cast<mining::ItemId>(values[i + width - 2]);
+      occ.hid = static_cast<mining::ItemId>(values[i + width - 1]);
       data.input_rules.push_back(occ);
     }
   }

@@ -220,8 +220,17 @@ class DataMiningSystem {
   /// so that DML on a source invalidates the cache automatically.
   std::string PreprocessCacheKey(const MineRuleStatement& stmt) const;
 
+  /// The hand-off: reads the encoded tables the preprocessor wrote into
+  /// the core operator's integer vectors.
   Result<mining::CodedSourceData> FetchEncodedData(
       const PreprocessProgram& program, const Directives& directives);
+
+  /// The integer `columns` of the encoded `relation`, row-major: row r's
+  /// value of column c sits at r * columns.size() + c. A base table is read
+  /// in place from the catalog; a view runs through the SQL engine. A value
+  /// that is not an integer fails the read.
+  Result<std::vector<int64_t>> ReadEncoded(
+      const std::string& relation, const std::vector<std::string>& columns);
 
   /// The pipeline proper; ExecuteStatement wraps it to record the run into
   /// the observability registry on both the success and the error path.

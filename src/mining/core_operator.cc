@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "common/trace.h"
+
 namespace minerule::mining {
 
 GeneralInput BuildGeneralInput(const CodedSourceData& data,
@@ -66,8 +68,10 @@ Result<std::vector<MinedRule>> RunCoreOperator(
     return std::vector<MinedRule>{};
   }
   if (!directives.general) {
-    TransactionDb db =
-        TransactionDb::FromPairs(data.simple_pairs, data.total_groups);
+    const TransactionDb db = [&] {
+      ScopedSpan span("core.transactions", "core");
+      return TransactionDb::FromPairs(data.simple_pairs, data.total_groups);
+    }();
     SimpleMinerOptions simple_options = options.simple_options;
     simple_options.num_threads = options.num_threads;
     SimpleAlgorithm algorithm = options.algorithm;
@@ -88,8 +92,12 @@ Result<std::vector<MinedRule>> RunCoreOperator(
     }
     return rules;
   }
-  GeneralMiner miner(BuildGeneralInput(data, directives),
-                     options.num_threads);
+  GeneralMiner miner(
+      [&] {
+        ScopedSpan span("core.transactions", "core");
+        return BuildGeneralInput(data, directives);
+      }(),
+      options.num_threads);
   MR_ASSIGN_OR_RETURN(
       std::vector<MinedRule> rules,
       miner.Mine(min_support, min_confidence, body_card, head_card,

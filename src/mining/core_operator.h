@@ -24,9 +24,9 @@ struct CoreDirectives {
 };
 
 /// The encoded-table contents handed to the core operator. The kernel
-/// fetches these from the DBMS (CodedSource is read through the SQL engine
-/// because Q11 defines it as a view) and strips them down to plain integers
-/// here — the algorithm-interoperability boundary.
+/// reads these from the DBMS (base tables in place, Q11's DISTINCT views
+/// through the SQL engine) and strips them down to plain integers here —
+/// the algorithm-interoperability boundary.
 struct CodedSourceData {
   // Simple core: CodedSource(Gid, Bid).
   std::vector<std::pair<Gid, ItemId>> simple_pairs;

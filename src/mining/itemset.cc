@@ -49,34 +49,6 @@ Itemset WithItem(const Itemset& base, ItemId extra) {
   return out;
 }
 
-namespace {
-
-void SubsetsRec(const Itemset& items, size_t k, size_t start, Itemset* current,
-                std::vector<Itemset>* out) {
-  if (current->size() == k) {
-    out->push_back(*current);
-    return;
-  }
-  const size_t needed = k - current->size();
-  for (size_t i = start; i + needed <= items.size() + 1 && i < items.size();
-       ++i) {
-    current->push_back(items[i]);
-    SubsetsRec(items, k, i + 1, current, out);
-    current->pop_back();
-  }
-}
-
-}  // namespace
-
-std::vector<Itemset> SubsetsOfSize(const Itemset& items, size_t k) {
-  std::vector<Itemset> out;
-  if (k > items.size()) return out;
-  Itemset current;
-  current.reserve(k);
-  SubsetsRec(items, k, 0, &current, &out);
-  return out;
-}
-
 std::string ItemsetToString(const Itemset& items) {
   std::string out = "{";
   for (size_t i = 0; i < items.size(); ++i) {

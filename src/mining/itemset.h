@@ -38,9 +38,6 @@ bool SharesPrefix(const Itemset& a, const Itemset& b, size_t k);
 /// Union of a canonical set with one extra item (which must not be present).
 Itemset WithItem(const Itemset& base, ItemId extra);
 
-/// All subsets of `items` with exactly `k` elements, canonical order.
-std::vector<Itemset> SubsetsOfSize(const Itemset& items, size_t k);
-
 /// "{3, 7, 12}" — for logs and test failure messages.
 std::string ItemsetToString(const Itemset& items);
 

@@ -67,10 +67,17 @@ bool RuleLess(const MinedRule& a, const MinedRule& b);
 /// cardinality constraints. `min_group_count` re-checks rule support (the
 /// rule's support equals L's, so this matters only when callers pass
 /// itemsets mined at a lower threshold, e.g. the sampling miner).
+///
+/// Rules come back sorted by RuleLess. The itemsets are indexed once by
+/// sorting their positions, and bodies are found by binary search; each
+/// rule is collected as (body rank, head rank, itemset) and built once,
+/// after the ranks are sorted. The itemsets are split into fixed morsels
+/// derived on up to `num_threads` threads (<= 0: hardware concurrency);
+/// the result is identical at every setting.
 std::vector<MinedRule> BuildRulesFromItemsets(
     const std::vector<FrequentItemset>& itemsets, int64_t min_group_count,
     double min_confidence, const CardinalityConstraint& body_card,
-    const CardinalityConstraint& head_card);
+    const CardinalityConstraint& head_card, int num_threads = 1);
 
 }  // namespace minerule::mining
 

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/string_util.h"
+#include "common/trace.h"
 #include "mining/apriori.h"
 #include "mining/apriori_tid.h"
 #include "mining/dhp.h"
@@ -195,8 +196,9 @@ Result<std::vector<MinedRule>> MineSimpleRules(
   }
   MR_ASSIGN_OR_RETURN(std::vector<FrequentItemset> itemsets,
                       miner->Mine(db, min_count, max_size, stats));
+  ScopedSpan rules_span("core.rules", "core");
   return BuildRulesFromItemsets(itemsets, min_count, min_confidence,
-                                body_card, head_card);
+                                body_card, head_card, options.num_threads);
 }
 
 }  // namespace minerule::mining

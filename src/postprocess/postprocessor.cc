@@ -1,7 +1,9 @@
 #include "postprocess/postprocessor.h"
 
 #include <algorithm>
+#include <compare>
 #include <map>
+#include <numeric>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -33,6 +35,73 @@ std::string AttrList(const std::vector<std::string>& attrs) {
   return Join(attrs, ", ");
 }
 
+/// The distinct sets one side of the rules takes (bodies or heads),
+/// numbered by lexicographic rank from 1: `sets[id - 1]` is the set with id
+/// `id`, and `id_of_rule[r]` is the id of rule r's set.
+struct SideIds {
+  std::vector<const mining::Itemset*> sets;
+  std::vector<int64_t> id_of_rule;
+};
+
+/// Ranks one side by sorting the rule positions on its sets.
+SideIds RankBySorting(const std::vector<mining::MinedRule>& rules,
+                      mining::Itemset mining::MinedRule::*side) {
+  std::vector<size_t> order(rules.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return rules[a].*side < rules[b].*side;
+  });
+  SideIds ids;
+  ids.id_of_rule.resize(rules.size());
+  for (size_t r : order) {
+    if (ids.sets.empty() || *ids.sets.back() != rules[r].*side) {
+      ids.sets.push_back(&(rules[r].*side));
+    }
+    ids.id_of_rule[r] = static_cast<int64_t>(ids.sets.size());
+  }
+  return ids;
+}
+
+/// Rules sorted by RuleLess, as the core returns them, list each body in
+/// one run and the runs in lexicographic order, so one pass ranks the
+/// bodies. Rules in any other order are ranked by sorting.
+SideIds RankBodies(const std::vector<mining::MinedRule>& rules) {
+  SideIds ids;
+  ids.id_of_rule.reserve(rules.size());
+  for (size_t r = 0; r < rules.size(); ++r) {
+    if (r > 0) {
+      const auto order = rules[r - 1].body <=> rules[r].body;
+      if (order > 0) return RankBySorting(rules, &mining::MinedRule::body);
+      if (order < 0) ids.sets.push_back(&rules[r].body);
+    } else {
+      ids.sets.push_back(&rules[r].body);
+    }
+    ids.id_of_rule.push_back(static_cast<int64_t>(ids.sets.size()));
+  }
+  return ids;
+}
+
+/// Creates the normalized table `name`(`id_column`, `item_column`) with
+/// one row per item of each set in `ids`.
+Status WriteSets(Catalog* catalog, const std::string& name,
+                 const char* id_column, const char* item_column,
+                 const SideIds& ids) {
+  MR_ASSIGN_OR_RETURN(
+      std::shared_ptr<Table> table,
+      catalog->CreateTable(name, Schema({{id_column, DataType::kInteger},
+                                         {item_column, DataType::kInteger}})));
+  size_t items = 0;
+  for (const mining::Itemset* set : ids.sets) items += set->size();
+  table->Reserve(items);
+  for (size_t i = 0; i < ids.sets.size(); ++i) {
+    for (mining::ItemId item : *ids.sets[i]) {
+      table->AppendUnchecked({Value::Integer(static_cast<int64_t>(i) + 1),
+                              Value::Integer(item)});
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<PostprocessResult> Postprocessor::Run(
@@ -54,40 +123,14 @@ Result<PostprocessResult> Postprocessor::Run(
   }
 
   // --- the core operator's normalized output (§4.4) ----------------------
-  // Identifiers for distinct bodies and heads, assigned in rule order.
-  std::map<mining::Itemset, int64_t> body_ids;
-  std::map<mining::Itemset, int64_t> head_ids;
-  for (const mining::MinedRule& rule : rules) {
-    body_ids.emplace(rule.body, 0);
-    head_ids.emplace(rule.head, 0);
-  }
-  int64_t next_id = 1;
-  for (auto& [items, id] : body_ids) id = next_id++;
-  next_id = 1;
-  for (auto& [items, id] : head_ids) id = next_id++;
-
-  {
-    Schema schema({{"BodyId", DataType::kInteger},
-                   {"Bid", DataType::kInteger}});
-    MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> bodies,
-                        catalog->CreateTable("OutputBodies", schema));
-    for (const auto& [items, id] : body_ids) {
-      for (mining::ItemId item : items) {
-        bodies->AppendUnchecked({Value::Integer(id), Value::Integer(item)});
-      }
-    }
-  }
-  {
-    Schema schema({{"HeadId", DataType::kInteger},
-                   {"Hid", DataType::kInteger}});
-    MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> heads,
-                        catalog->CreateTable("OutputHeads", schema));
-    for (const auto& [items, id] : head_ids) {
-      for (mining::ItemId item : items) {
-        heads->AppendUnchecked({Value::Integer(id), Value::Integer(item)});
-      }
-    }
-  }
+  // Identifiers for distinct bodies and heads: each set's rank in
+  // lexicographic order, from 1.
+  const SideIds body_ids = RankBodies(rules);
+  const SideIds head_ids = RankBySorting(rules, &mining::MinedRule::head);
+  MR_RETURN_IF_ERROR(
+      WriteSets(catalog, "OutputBodies", "BodyId", "Bid", body_ids));
+  MR_RETURN_IF_ERROR(
+      WriteSets(catalog, "OutputHeads", "HeadId", "Hid", head_ids));
   {
     Schema schema;
     schema.AddColumn({"BodyId", DataType::kInteger});
@@ -100,9 +143,13 @@ Result<PostprocessResult> Postprocessor::Run(
     }
     MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> out,
                         catalog->CreateTable(result.rules_table, schema));
-    for (const mining::MinedRule& rule : rules) {
-      Row row{Value::Integer(body_ids[rule.body]),
-              Value::Integer(head_ids[rule.head])};
+    out->Reserve(rules.size());
+    for (size_t r = 0; r < rules.size(); ++r) {
+      const mining::MinedRule& rule = rules[r];
+      Row row;
+      row.reserve(schema.num_columns());
+      row.push_back(Value::Integer(body_ids.id_of_rule[r]));
+      row.push_back(Value::Integer(head_ids.id_of_rule[r]));
       if (stmt.select_support) {
         row.push_back(Value::Double(rule.Support(total_groups)));
       }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
 
 #include "common/random.h"
 #include "mining/apriori.h"
@@ -52,16 +57,6 @@ TEST(ItemsetTest, WithItemInsertsInOrder) {
   EXPECT_EQ(WithItem({}, 5), (Itemset{5}));
 }
 
-TEST(ItemsetTest, SubsetsOfSize) {
-  auto subsets = SubsetsOfSize({1, 2, 3}, 2);
-  ASSERT_EQ(subsets.size(), 3u);
-  EXPECT_EQ(subsets[0], (Itemset{1, 2}));
-  EXPECT_EQ(subsets[1], (Itemset{1, 3}));
-  EXPECT_EQ(subsets[2], (Itemset{2, 3}));
-  EXPECT_EQ(SubsetsOfSize({1, 2}, 3).size(), 0u);
-  EXPECT_EQ(SubsetsOfSize({1, 2, 3, 4}, 1).size(), 4u);
-}
-
 TEST(GidListTest, Intersection) {
   EXPECT_EQ(IntersectGidLists({1, 3, 5, 7}, {2, 3, 5, 8}), (GidList{3, 5}));
   EXPECT_EQ(IntersectGidLists({}, {1}), GidList{});
@@ -81,6 +76,73 @@ TEST(TransactionDbTest, FromPairsBuildsBothLayouts) {
   EXPECT_EQ(db.gid_list(99), GidList{});
   // Duplicate pair (10,1) deduplicated.
   EXPECT_EQ(db.transactions()[0], (Itemset{1, 2}));
+}
+
+// FromPairs against a std::map reference: gids ascending, each
+// transaction the sorted distinct items of its gid, items ascending, and
+// each item's gid-list the ascending gids holding it.
+void ExpectFromPairsMatchesReference(
+    const std::vector<std::pair<Gid, ItemId>>& pairs) {
+  std::map<Gid, std::set<ItemId>> groups;
+  std::map<ItemId, std::set<Gid>> lists;
+  for (const auto& [gid, item] : pairs) {
+    groups[gid].insert(item);
+    lists[item].insert(gid);
+  }
+  TransactionDb db = TransactionDb::FromPairs(pairs, 7);
+  EXPECT_EQ(db.total_groups(), 7);
+  std::vector<Gid> gids;
+  std::vector<Itemset> transactions;
+  for (const auto& [gid, items] : groups) {
+    gids.push_back(gid);
+    transactions.emplace_back(items.begin(), items.end());
+  }
+  EXPECT_EQ(db.gids(), gids);
+  EXPECT_EQ(db.transactions(), transactions);
+  std::vector<ItemId> items;
+  for (const auto& [item, list] : lists) {
+    items.push_back(item);
+    EXPECT_EQ(db.gid_list(item), GidList(list.begin(), list.end())) << item;
+  }
+  EXPECT_EQ(db.items(), items);
+}
+
+TEST(TransactionDbTest, FromPairsMatchesReference) {
+  constexpr Gid kMin = std::numeric_limits<int32_t>::min();
+  constexpr Gid kMax = std::numeric_limits<int32_t>::max();
+  const std::vector<std::pair<Gid, ItemId>> extremes = {
+      {kMax, kMin}, {kMin, kMax}, {-1, -1}, {0, 0},   {kMin, kMin},
+      {-1, 0},      {kMax, kMax}, {0, -1},  {kMin, -7}, {-65536, 65535},
+      {65536, -65537}};
+  std::vector<std::pair<Gid, ItemId>> sorted = extremes;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::pair<Gid, ItemId>> reversed(sorted.rbegin(),
+                                               sorted.rend());
+  std::vector<std::pair<Gid, ItemId>> duplicates(50, {-3, kMax});
+
+  // Wide random values exercise every 16-bit radix pass; dense small
+  // values leave the upper digits constant, so their passes are skipped.
+  Random rng(20);
+  std::vector<std::pair<Gid, ItemId>> wide;
+  std::vector<std::pair<Gid, ItemId>> dense;
+  for (int i = 0; i < 20000; ++i) {
+    wide.emplace_back(
+        static_cast<Gid>(rng.NextInt(kMin, kMax) / (1 + i % 3)),
+        static_cast<ItemId>(rng.NextInt(kMin, kMax) % 1000));
+    dense.emplace_back(static_cast<Gid>(rng.NextInt(0, 999)),
+                       static_cast<ItemId>(rng.NextInt(0, 49)));
+  }
+
+  const std::vector<std::pair<const char*,
+                              std::vector<std::pair<Gid, ItemId>>>>
+      inputs = {{"extremes", extremes}, {"sorted", sorted},
+                {"reverse_sorted", reversed}, {"all_duplicates", duplicates},
+                {"empty", {}}, {"one_pair", {{kMin, kMax}}},
+                {"wide_random", wide}, {"dense_random", dense}};
+  for (const auto& [name, pairs] : inputs) {
+    SCOPED_TRACE(name);
+    ExpectFromPairsMatchesReference(pairs);
+  }
 }
 
 TEST(TransactionDbTest, SliceRestrictsTransactions) {
@@ -178,6 +240,119 @@ TEST(RuleBuilderTest, CardinalityConstraints) {
     EXPECT_EQ(rule.head.size(), 1u);
   }
 }
+
+// Rule derivation against a brute force over random itemset families: for
+// each itemset L and each non-empty proper subset H, the rule (L−H) ⇒ H if
+// both sides fit their cardinalities, L−H is in the family and the rule is
+// confident; sorted by RuleLess. The families are the exact frequent
+// itemsets of random databases, so closed under subsets, in shuffled
+// order; a copy with random members dropped has heads (and bodies) outside
+// the family.
+struct RuleBuilderCase {
+  const char* name;
+  CardinalityConstraint body_card;
+  CardinalityConstraint head_card;
+  int num_threads;
+};
+
+class RuleBuilderTest : public ::testing::TestWithParam<RuleBuilderCase> {};
+
+std::vector<MinedRule> BruteForceRules(
+    const std::vector<FrequentItemset>& itemsets, int64_t min_group_count,
+    double min_confidence, const CardinalityConstraint& body_card,
+    const CardinalityConstraint& head_card) {
+  std::map<Itemset, int64_t> counts;
+  for (const FrequentItemset& fi : itemsets) counts[fi.items] = fi.group_count;
+  std::vector<MinedRule> rules;
+  for (const FrequentItemset& fi : itemsets) {
+    const size_t k = fi.items.size();
+    if (k < 2 || fi.group_count < min_group_count) continue;
+    for (uint32_t mask = 1; mask + 1 < (1u << k); ++mask) {
+      MinedRule rule;
+      for (size_t i = 0; i < k; ++i) {
+        ((mask >> i) & 1 ? rule.head : rule.body).push_back(fi.items[i]);
+      }
+      if (!body_card.Allows(rule.body.size()) ||
+          !head_card.Allows(rule.head.size())) {
+        continue;
+      }
+      auto body = counts.find(rule.body);
+      if (body == counts.end()) continue;
+      rule.group_count = fi.group_count;
+      rule.body_group_count = body->second;
+      if (rule.Confidence() + 1e-12 < min_confidence) continue;
+      rules.push_back(std::move(rule));
+    }
+  }
+  std::sort(rules.begin(), rules.end(), RuleLess);
+  return rules;
+}
+
+TEST_P(RuleBuilderTest, MatchesBruteForce) {
+  const RuleBuilderCase& c = GetParam();
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Random rng(seed);
+    std::vector<Itemset> txns;
+    for (int t = 0; t < 60; ++t) {
+      Itemset items;
+      for (ItemId item = 0; item < 10; ++item) {
+        if (rng.NextBool(0.5)) items.push_back(item);
+      }
+      txns.push_back(std::move(items));
+    }
+    const TransactionDb db = TransactionDb::FromTransactions(txns, 60);
+    ReferenceMiner miner;
+    std::vector<FrequentItemset> closed = MustMine(&miner, db, 4);
+    // Enough itemsets for several morsels of rule derivation.
+    ASSERT_GT(closed.size(), 200u) << closed.size();
+    std::shuffle(closed.begin(), closed.end(), std::mt19937_64(seed));
+    std::vector<FrequentItemset> gapped;
+    for (const FrequentItemset& fi : closed) {
+      if (!rng.NextBool(0.2)) gapped.push_back(fi);
+    }
+    for (const auto* family : {&closed, &gapped}) {
+      for (double confidence : {0.0, 0.6}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + (family == &closed
+                                                          ? " closed"
+                                                          : " gapped") +
+                     " confidence " + std::to_string(confidence));
+        const std::vector<MinedRule> expected = BruteForceRules(
+            *family, 5, confidence, c.body_card, c.head_card);
+        const std::vector<MinedRule> actual =
+            BuildRulesFromItemsets(*family, 5, confidence, c.body_card,
+                                   c.head_card, c.num_threads);
+        ASSERT_EQ(actual.size(), expected.size());
+        if (family == &closed && confidence == 0.0) {
+          EXPECT_FALSE(actual.empty());
+        }
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(actual[i].body, expected[i].body) << i;
+          EXPECT_EQ(actual[i].head, expected[i].head) << i;
+          EXPECT_EQ(actual[i].group_count, expected[i].group_count) << i;
+          EXPECT_EQ(actual[i].body_group_count, expected[i].body_group_count)
+              << i;
+        }
+      }
+    }
+  }
+}
+
+std::vector<RuleBuilderCase> RuleBuilderCases() {
+  std::vector<RuleBuilderCase> cases;
+  for (int threads : {1, 2, 8}) {
+    cases.push_back({"b1n_h11", {1, -1}, {1, 1}, threads});
+    cases.push_back({"b23_h12", {2, 3}, {1, 2}, threads});
+    cases.push_back({"b11_h2n", {1, 1}, {2, -1}, threads});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cardinalities, RuleBuilderTest, ::testing::ValuesIn(RuleBuilderCases()),
+    [](const ::testing::TestParamInfo<RuleBuilderCase>& info) {
+      return std::string(info.param.name) + "_t" +
+             std::to_string(info.param.num_threads);
+    });
 
 // ---------------------------------------------------------------------------
 // Pool equivalence: every algorithm must produce the same frequent itemsets

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -349,17 +350,20 @@ TEST_F(MiningObservabilityTest, PerPassCountersArePopulated) {
   EXPECT_LE(stats.handoff_seconds, stats.core_seconds);
 
   // The tracer's phase spans cover all four phases, in pipeline order, and
-  // the core carries a hand-off span.
+  // the core carries one span each for the hand-off, the transaction index
+  // and the rule derivation.
   std::vector<std::string> spans;
-  int handoff_spans = 0;
+  std::map<std::string, int> core_spans;
   for (const SpanEvent& event : tracer.Snapshot()) {
     if (std::string(event.category) == "phase") spans.push_back(event.name);
-    if (event.name == "core.handoff") ++handoff_spans;
+    if (std::string(event.category) == "core") ++core_spans[event.name];
   }
   tracer.Clear();
   EXPECT_EQ(spans, (std::vector<std::string>{"translate", "preprocess",
                                              "core", "postprocess"}));
-  EXPECT_EQ(handoff_spans, 1);
+  EXPECT_EQ(core_spans["core.handoff"], 1);
+  EXPECT_EQ(core_spans["core.transactions"], 1);
+  EXPECT_EQ(core_spans["core.rules"], 1);
 
   // Pool usage: per-worker vectors sized to the pool, totals consistent.
   EXPECT_GE(stats.pool.workers, 1);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "datagen/paper_example.h"
 #include "minerule/parser.h"
 
@@ -108,6 +112,74 @@ TEST_F(PostprocessorTest, IdenticalBodiesShareOneBodyId) {
   auto body_rows = engine_.Execute("SELECT COUNT(*) FROM OutputBodies");
   ASSERT_TRUE(body_rows.ok());
   EXPECT_EQ(body_rows.value().rows[0][0].AsInteger(), 1);
+}
+
+// BodyId and HeadId are each set's rank in lexicographic order, from 1
+// (here {x1} < {x1, x3} < {x2}: not ordered by size), whether or not the
+// rules arrive sorted by RuleLess; <out> keeps the rules' input order.
+TEST_F(PostprocessorTest, IdsAreLexicographicRanks) {
+  auto bids = engine_.Execute("SELECT Bid FROM Bset ORDER BY Bid");
+  ASSERT_TRUE(bids.ok());
+  ASSERT_GE(bids.value().rows.size(), 4u);
+  std::vector<int64_t> x;
+  for (const Row& row : bids.value().rows) x.push_back(row[0].AsInteger());
+  auto set = [&](std::initializer_list<int> positions) {
+    mining::Itemset items;
+    for (int p : positions) items.push_back(static_cast<mining::ItemId>(x[p]));
+    return items;
+  };
+  // Sorted by RuleLess. Bodies {x2} < {x2, x4} < {x4}; heads {x1} <
+  // {x1, x3} < {x2} < {x3}.
+  std::vector<mining::MinedRule> sorted = {
+      {set({1}), set({0}), 1, 2},       {set({1}), set({0, 2}), 1, 2},
+      {set({1}), set({2}), 2, 2},       {set({1, 3}), set({0}), 1, 1},
+      {set({1, 3}), set({0, 2}), 1, 1}, {set({3}), set({0, 2}), 1, 2},
+      {set({3}), set({1}), 2, 2}};
+  const std::vector<std::pair<int64_t, int64_t>> sorted_ids = {
+      {1, 1}, {1, 2}, {1, 4}, {2, 1}, {2, 2}, {3, 2}, {3, 3}};
+  const std::vector<std::pair<int64_t, int64_t>> expected_bodies = {
+      {1, x[1]}, {2, x[1]}, {2, x[3]}, {3, x[3]}};
+  const std::vector<std::pair<int64_t, int64_t>> expected_heads = {
+      {1, x[0]}, {2, x[0]}, {2, x[2]}, {3, x[1]}, {4, x[2]}};
+
+  auto pairs_of = [&](const std::string& sql) {
+    std::vector<std::pair<int64_t, int64_t>> pairs;
+    auto result = engine_.Execute(sql);
+    EXPECT_TRUE(result.ok()) << sql << " -> " << result.status();
+    if (!result.ok()) return pairs;
+    for (const Row& row : result.value().rows) {
+      pairs.emplace_back(row[0].AsInteger(), row[1].AsInteger());
+    }
+    return pairs;
+  };
+  const std::vector<size_t> shuffled_order = {4, 0, 6, 2, 5, 1, 3};
+  for (bool shuffle : {false, true}) {
+    SCOPED_TRACE(shuffle ? "shuffled" : "sorted");
+    std::vector<mining::MinedRule> rules;
+    std::vector<std::pair<int64_t, int64_t>> ids;
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      const size_t r = shuffle ? shuffled_order[i] : i;
+      rules.push_back(sorted[r]);
+      ids.push_back(sorted_ids[r]);
+    }
+    Postprocessor postprocessor(&engine_);
+    auto result = postprocessor.Run(stmt_, translation_, rules,
+                                    pre_.total_groups, pre_.program);
+    ASSERT_TRUE(result.ok()) << result.status();
+    // Table order is insertion order: no ORDER BY, so the rows are
+    // compared exactly as written.
+    EXPECT_EQ(pairs_of("SELECT BodyId, HeadId FROM Out"), ids);
+    EXPECT_EQ(pairs_of("SELECT * FROM OutputBodies"), expected_bodies);
+    EXPECT_EQ(pairs_of("SELECT * FROM OutputHeads"), expected_heads);
+    auto out = engine_.Execute("SELECT SUPPORT, CONFIDENCE FROM Out");
+    ASSERT_TRUE(out.ok());
+    for (size_t i = 0; i < rules.size(); ++i) {
+      EXPECT_DOUBLE_EQ(out.value().rows[i][0].AsDouble(),
+                       rules[i].Support(pre_.total_groups));
+      EXPECT_DOUBLE_EQ(out.value().rows[i][1].AsDouble(),
+                       rules[i].Confidence());
+    }
+  }
 }
 
 TEST_F(PostprocessorTest, EmptyRuleSetProducesEmptyTables) {

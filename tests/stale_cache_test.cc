@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "engine/data_mining_system.h"
 
@@ -105,6 +107,101 @@ TEST_F(StaleCacheTest, InsertBehindViewInvalidatesCache) {
   mr::MiningRunStats second = MustMine(statement);
   EXPECT_FALSE(second.preprocessing_reused);
   EXPECT_EQ(second.total_groups, 4);
+}
+
+// The core reads the encoded tables the preprocessor left behind on every
+// run, reused or not; nothing in between caches them. Edits to an encoded
+// table made between a run and its reuse therefore reach the core: a valid
+// pair is mined, a value that is not an integer fails the run.
+class EncodedTableReadTest : public StaleCacheTest {
+ protected:
+  std::shared_ptr<Table> MustTable(const std::string& name) {
+    auto table = catalog_.GetTable(name);
+    EXPECT_TRUE(table.ok()) << table.status();
+    return table.ok() ? *table : nullptr;
+  }
+
+  /// Supports of the rules in `output`, in table order.
+  std::vector<double> Supports(const std::string& output) {
+    std::vector<double> supports;
+    for (const Row& row : MustTable(output)->rows()) {
+      supports.push_back(row[2].AsDouble());
+    }
+    return supports;
+  }
+
+  Status MineStatus(const std::string& statement) {
+    return system_.ExecuteMineRule(statement, options_).status();
+  }
+};
+
+TEST_F(EncodedTableReadTest, NullInCodedSourceFailsTheReusedRun) {
+  SetUpPurchase();
+  MustMine(kStatement);
+  MustSql("INSERT INTO CodedSource VALUES (NULL, 1)");
+  const Status status = MineStatus(kStatement);
+  EXPECT_EQ(status.ToString(),
+            "Internal: encoded table column 0 is not an integer");
+}
+
+TEST_F(EncodedTableReadTest, DoubleInCodedSourceFailsTheReusedRun) {
+  SetUpPurchase();
+  MustMine(kStatement);
+  // SQL INSERT rejects a fractional DOUBLE in an INTEGER column, so put it
+  // there below the type check.
+  MustTable("CodedSource")
+      ->AppendUnchecked({Value::Integer(3), Value::Double(1.5)});
+  const Status status = MineStatus(kStatement);
+  EXPECT_EQ(status.ToString(),
+            "Internal: encoded table column 1 is not an integer");
+}
+
+TEST_F(EncodedTableReadTest, NewCodedSourcePairReachesTheReusedRun) {
+  SetUpPurchase();
+  mr::MiningRunStats first = MustMine(kStatement);
+  // {a} => {b} and {b} => {a}, each held by groups 1 and 2 of 3.
+  ASSERT_EQ(first.output.num_rules, 2);
+  EXPECT_EQ(Supports("Basket"), (std::vector<double>{2.0 / 3, 2.0 / 3}));
+
+  // Group 3 bought only 'a'; give it 'b' too, in the encoded table alone.
+  MustSql("INSERT INTO CodedSource (SELECT 3, Bid FROM Bset WHERE item = 'b')");
+  mr::MiningRunStats second = MustMine(kStatement);
+  EXPECT_TRUE(second.preprocessing_reused);
+  ASSERT_EQ(second.output.num_rules, 2);
+  EXPECT_EQ(Supports("Basket"), (std::vector<double>{1.0, 1.0}));
+}
+
+TEST_F(EncodedTableReadTest, BadValuesInInputRulesLargeFailTheReusedRun) {
+  MustSql("CREATE TABLE Purchase (tr INTEGER, item VARCHAR, price INTEGER)");
+  MustSql(
+      "INSERT INTO Purchase VALUES (1, 'a', 200), (1, 'b', 50), "
+      "(2, 'a', 200), (2, 'b', 50), (3, 'a', 200)");
+  const std::string statement =
+      "MINE RULE Pricey AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS "
+      "HEAD, SUPPORT, CONFIDENCE WHERE BODY.price >= 100 AND HEAD.price < "
+      "100 FROM Purchase GROUP BY tr "
+      "EXTRACTING RULES WITH SUPPORT: 0.4, CONFIDENCE: 0.5";
+  mr::MiningRunStats first = MustMine(statement);
+  ASSERT_TRUE(first.core.used_general);
+  EXPECT_EQ(first.output.num_rules, 1);
+
+  // A valid occurrence copied into group 3 is mined on reuse.
+  MustSql(
+      "INSERT INTO InputRulesLarge (SELECT 3, Bid, Hid FROM InputRulesLarge "
+      "WHERE Gid = 1)");
+  mr::MiningRunStats second = MustMine(statement);
+  EXPECT_TRUE(second.preprocessing_reused);
+  EXPECT_EQ(Supports("Pricey"), (std::vector<double>{1.0}));
+
+  MustSql("INSERT INTO InputRulesLarge VALUES (NULL, 1, 1)");
+  EXPECT_EQ(MineStatus(statement).ToString(),
+            "Internal: encoded table column 0 is not an integer");
+  MustSql("DELETE FROM InputRulesLarge WHERE Gid IS NULL");
+  MustTable("InputRulesLarge")
+      ->AppendUnchecked(
+          {Value::Integer(1), Value::Integer(1), Value::Double(0.5)});
+  EXPECT_EQ(MineStatus(statement).ToString(),
+            "Internal: encoded table column 2 is not an integer");
 }
 
 }  // namespace
