@@ -6,15 +6,22 @@
 //   - Partition does the work in 2 passes; Sampling in ~1 pass when the
 //     sample is representative;
 //   - everything degrades as minimum support drops.
+//
+// The gid-list / DHP landscape (EXPERIMENTS.md) is the BM_Dense* and
+// BM_Sparse* cases; time each case in its own process, e.g. with
+//   --benchmark_filter='^BM_DenseGidList/100000/0/4/real_time$'
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/json.h"
+#include "common/random.h"
 #include "datagen/quest_gen.h"
 #include "mining/simple_miner.h"
 
@@ -39,12 +46,35 @@ mining::TransactionDb& SharedDb(int64_t transactions) {
   return it->second;
 }
 
-void RunMiner(benchmark::State& state, SimpleAlgorithm algorithm) {
-  const int64_t transactions = state.range(0);
-  const double support = static_cast<double>(state.range(1)) / 10000.0;
-  // Third axis: worker threads for the parallel miners (1 = serial).
-  const int threads = static_cast<int>(state.range(2));
-  mining::TransactionDb& db = SharedDb(transactions);
+/// Dense uniform source: each transaction draws `draws` items uniformly
+/// from `items` (repeats collapse). At the landscape's supports every item
+/// is frequent and no pair is, so the frequent lattice stops at level 1.
+mining::TransactionDb& DenseDb(int64_t transactions, int64_t items,
+                               int64_t draws) {
+  using Key = std::tuple<int64_t, int64_t, int64_t>;
+  static std::map<Key, mining::TransactionDb>* dbs =
+      new std::map<Key, mining::TransactionDb>();
+  const Key key{transactions, items, draws};
+  auto it = dbs->find(key);
+  if (it == dbs->end()) {
+    Random rng(4242);
+    std::vector<mining::Itemset> txns(static_cast<size_t>(transactions));
+    for (mining::Itemset& t : txns) {
+      for (int64_t d = 0; d < draws; ++d) {
+        t.push_back(static_cast<mining::ItemId>(
+            rng.NextBounded(static_cast<uint64_t>(items))));
+      }
+    }
+    it = dbs->emplace(key, mining::TransactionDb::FromTransactions(
+                               std::move(txns), transactions))
+             .first;
+  }
+  return it->second;
+}
+
+void RunMinerOn(benchmark::State& state, SimpleAlgorithm algorithm,
+                const mining::TransactionDb& db, double support,
+                int threads) {
   const int64_t min_count = mining::MinGroupCount(support, db.total_groups());
   mining::SimpleMinerOptions options;
   options.partition_count = 4;
@@ -68,8 +98,16 @@ void RunMiner(benchmark::State& state, SimpleAlgorithm algorithm) {
   int64_t candidates = 0;
   for (int64_t c : stats.candidates_per_level) candidates += c;
   state.counters["candidates"] = static_cast<double>(candidates);
-  state.counters["minsup_bp"] = static_cast<double>(state.range(1));
+  state.counters["minsup_bp"] = support * 10000.0;
   state.counters["threads"] = static_cast<double>(threads);
+}
+
+void RunMiner(benchmark::State& state, SimpleAlgorithm algorithm) {
+  // Axes: transactions, support in basis points, worker threads for the
+  // parallel miners (1 = serial).
+  RunMinerOn(state, algorithm, SharedDb(state.range(0)),
+             static_cast<double>(state.range(1)) / 10000.0,
+             static_cast<int>(state.range(2)));
 }
 
 #define POOL_BENCH(name, algorithm)                       \
@@ -118,6 +156,48 @@ THREADS_BENCH(BM_PartitionThreads, SimpleAlgorithm::kPartition);
 THREADS_BENCH(BM_AprioriThreads, SimpleAlgorithm::kApriori);
 THREADS_BENCH(BM_DhpThreads, SimpleAlgorithm::kDhp);
 THREADS_BENCH(BM_GidListThreads, SimpleAlgorithm::kGidList);
+
+// The dense landscape: {8k, 20k, 100k} transactions x three uniform
+// shapes (items/draws/support) x {1, 4} threads. Axes: transactions, shape
+// index, threads.
+struct DenseShape {
+  int64_t items;
+  int64_t draws;
+  double support;
+};
+constexpr DenseShape kDenseShapes[] = {
+    {40, 12, 0.15}, {60, 15, 0.15}, {100, 30, 0.12}};
+
+void RunDense(benchmark::State& state, SimpleAlgorithm algorithm) {
+  const DenseShape& shape = kDenseShapes[state.range(1)];
+  RunMinerOn(state, algorithm,
+             DenseDb(state.range(0), shape.items, shape.draws), shape.support,
+             static_cast<int>(state.range(2)));
+}
+
+#define DENSE_BENCH(name, algorithm)                                \
+  void name(benchmark::State& state) {                              \
+    RunDense(state, algorithm);                                     \
+  }                                                                 \
+  BENCHMARK(name)                                                   \
+      ->ArgsProduct({{8000, 20000, 100000}, {0, 1, 2}, {1, 4}})     \
+      ->Unit(benchmark::kMillisecond)->UseRealTime()
+
+DENSE_BENCH(BM_DenseGidList, SimpleAlgorithm::kGidList);
+DENSE_BENCH(BM_DenseDhp, SimpleAlgorithm::kDhp);
+
+// The landscape's two sparse (Quest T10.I4, 1000 items) shapes.
+#define SPARSE_BENCH(name, algorithm)                     \
+  void name(benchmark::State& state) {                    \
+    RunMiner(state, algorithm);                           \
+  }                                                       \
+  BENCHMARK(name)                                         \
+      ->Args({20000, 50, 1})->Args({20000, 50, 4})        \
+      ->Args({100000, 100, 1})->Args({100000, 100, 4})    \
+      ->Unit(benchmark::kMillisecond)->UseRealTime()
+
+SPARSE_BENCH(BM_SparseGidList, SimpleAlgorithm::kGidList);
+SPARSE_BENCH(BM_SparseDhp, SimpleAlgorithm::kDhp);
 
 // --smoke: one run per pool member on a small Quest db, pass counters
 // (including the DHP filter sizes and Partition slice sizes) emitted as

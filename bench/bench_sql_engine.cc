@@ -12,9 +12,8 @@
 //                                   # report, "SMOKE OK"
 //   bench_sql_engine --plan-smoke   # CI gate: plans from statistics after
 //                                   # ANALYZE (DESIGN.md §14) vs FROM-order
-//                                   # plans on skewed retail data + adaptive
-//                                   # core-algorithm selection, JSON report,
-//                                   # "PLAN SMOKE OK"
+//                                   # plans on skewed retail data, JSON
+//                                   # report, "PLAN SMOKE OK"
 
 #include <benchmark/benchmark.h>
 
@@ -30,9 +29,7 @@
 
 #include "common/json.h"
 #include "common/random.h"
-#include "datagen/quest_gen.h"
 #include "datagen/retail_gen.h"
-#include "mining/simple_miner.h"
 #include "relational/catalog.h"
 #include "sql/engine.h"
 #include "sql/parser.h"
@@ -405,21 +402,14 @@ int RunSmoke() {
 }
 
 // ---------------------------------------------------------------------------
-// --plan-smoke: the planning CI gate (DESIGN.md §14). Two parts:
-//
-//  1. SQL planning on skewed retail data: every query runs on an engine
-//     that ANALYZEd the tables, and so plans from statistics, and on a
-//     second engine over the same catalog that never analyzed them, and so
-//     keeps FROM-order plans; results must be byte-identical, the analyzed
-//     plan must never be > 5% slower, and at least one `checked` shape
-//     (build-side swap, join reorder) must improve by >= 1.15x.
-//  2. Adaptive core-algorithm selection: MINE-RULE's simple core with
-//     algorithm=auto vs the static default (gidlist) on shapes where the
-//     choice matters; identical rules, never > 5% slower, >= 1.15x on a
-//     `checked` shape.
-//
-// Both gates compare sides through TimePairs below. Emits one validated
-// JSON report and PLAN SMOKE OK / PLAN SMOKE FAIL.
+// --plan-smoke: the planning CI gate (DESIGN.md §14). SQL planning on
+// skewed retail data: every query runs on an engine that ANALYZEd the
+// tables, and so plans from statistics, and on a second engine over the
+// same catalog that never analyzed them, and so keeps FROM-order plans;
+// results must be byte-identical, the analyzed plan must never be > 5%
+// slower, and at least one `checked` shape (build-side swap, join reorder)
+// must improve by >= 1.15x. Sides are compared through TimePairs below.
+// Emits one validated JSON report and PLAN SMOKE OK / PLAN SMOKE FAIL.
 
 struct PlanQuery {
   const char* name;
@@ -478,8 +468,6 @@ bool TimePairs(const std::function<bool(int side)>& run, PairedTiming* out) {
 int RunPlanSmoke() {
   constexpr double kSlowdownTolerance = 1.05;
   constexpr double kRequiredSpeedup = 1.15;
-  // Shortest timed mining sample (part 2).
-  constexpr double kMinSampleMs = 20;
 
   Catalog catalog;
   sql::SqlEngine analyzed(&catalog);
@@ -605,132 +593,6 @@ int RunPlanSmoke() {
     w.EndObject();
   }
   w.EndArray();
-
-  // Part 2: adaptive algorithm selection. The static default is the paper's
-  // gid-list scheme; `checked` shapes are dense with a shallow frequent
-  // lattice, where auto resolves to DHP (~10x measured).
-  struct MineWorkload {
-    const char* name;
-    mining::TransactionDb db;
-    double support;
-    bool checked;
-  };
-  std::vector<MineWorkload> workloads;
-  {
-    Random rng(4242);
-    std::vector<mining::Itemset> txns;
-    for (int64_t i = 0; i < 8000; ++i) {
-      mining::Itemset t;
-      for (int k = 0; k < 12; ++k) {
-        t.push_back(static_cast<mining::ItemId>(rng.NextBounded(40)));
-      }
-      std::sort(t.begin(), t.end());
-      t.erase(std::unique(t.begin(), t.end()), t.end());
-      txns.push_back(std::move(t));
-    }
-    workloads.push_back(
-        {"dense_shallow",
-         mining::TransactionDb::FromTransactions(std::move(txns), 8000), 0.15,
-         true});
-  }
-  {
-    datagen::QuestParams qp;
-    qp.num_transactions = 10000;
-    qp.avg_transaction_size = 10;
-    qp.avg_pattern_size = 4;
-    qp.num_items = 500;
-    qp.num_patterns = 80;
-    workloads.push_back({"sparse", datagen::GenerateQuestDb(qp), 0.01, false});
-  }
-  {
-    datagen::QuestParams qp;
-    qp.num_transactions = 2000;
-    qp.avg_transaction_size = 12;
-    qp.avg_pattern_size = 5;
-    qp.num_items = 60;
-    qp.num_patterns = 15;
-    workloads.push_back(
-        {"deep_lattice", datagen::GenerateQuestDb(qp), 0.04, false});
-  }
-
-  int mine_improved = 0;
-  w.Key("mining").BeginArray();
-  for (const MineWorkload& load : workloads) {
-    const mining::SimpleAlgorithm algs[2] = {
-        mining::SimpleAlgorithm::kGidList, mining::SimpleAlgorithm::kAuto};
-    size_t rule_count[2] = {0, 0};
-    auto mine = [&](int a) {
-      auto rules = mining::MineSimpleRules(
-          load.db, load.support, 0.3, mining::CardinalityConstraint{},
-          mining::CardinalityConstraint{}, algs[a], {});
-      if (!rules.ok()) {
-        std::fprintf(stderr, "PLAN SMOKE FAIL %s: %s\n", load.name,
-                     rules.status().ToString().c_str());
-        return false;
-      }
-      rule_count[a] = rules.value().size();
-      return true;
-    };
-    // A shape mined in about a millisecond times at the host's noise
-    // level, so each sample repeats the miner `reps` times, the same count
-    // on both sides, until the faster side's sample takes kMinSampleMs.
-    int reps = 1;
-    for (;;) {
-      double fastest_ms = 0;
-      for (int a = 0; a < 2; ++a) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int r = 0; r < reps; ++r) {
-          if (!mine(a)) return 1;
-        }
-        const double ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-        fastest_ms = a == 0 ? ms : std::min(fastest_ms, ms);
-      }
-      if (fastest_ms >= kMinSampleMs) break;
-      reps *= 2;
-    }
-    PairedTiming timing;
-    const bool ran = TimePairs(
-        [&](int a) {
-          for (int r = 0; r < reps; ++r) {
-            if (!mine(a)) return false;
-          }
-          return true;
-        },
-        &timing);
-    if (!ran) return 1;
-    if (rule_count[0] != rule_count[1]) {
-      std::fprintf(stderr, "PLAN SMOKE FAIL %s: auto found %zu rules, "
-                   "static found %zu\n",
-                   load.name, rule_count[1], rule_count[0]);
-      return 1;
-    }
-    const mining::SimpleAlgorithm resolved = mining::ChooseSimpleAlgorithm(
-        load.db,
-        mining::MinGroupCount(load.support, load.db.total_groups()));
-    const double speedup = timing.speedup;
-    // When auto resolves to the static default the two runs execute the
-    // same member and the timing delta is pure allocator/cache noise (up to
-    // ~15% on the rule-heavy shapes); the timing gate only applies when the
-    // selection actually diverged.
-    const bool pass = resolved == mining::SimpleAlgorithm::kGidList ||
-                      speedup * kSlowdownTolerance >= 1.0;
-    if (!pass) ok = false;
-    if (load.checked && speedup >= kRequiredSpeedup) ++mine_improved;
-    w.BeginObject();
-    w.Key("workload").String(load.name);
-    w.Key("auto_algorithm").String(mining::SimpleAlgorithmName(resolved));
-    w.Key("static_ms").Double(timing.median_ms[0] / reps);
-    w.Key("auto_ms").Double(timing.median_ms[1] / reps);
-    w.Key("reps").Int(reps);
-    w.Key("speedup").Double(speedup);
-    w.Key("rules").Int(static_cast<int64_t>(rule_count[0]));
-    w.Key("checked").Bool(load.checked);
-    w.Key("pass").Bool(pass);
-    w.EndObject();
-  }
-  w.EndArray();
   w.EndObject();
 
   const std::string json = w.str();
@@ -743,11 +605,6 @@ int RunPlanSmoke() {
   std::printf("%s\n", json.c_str());
   if (improved == 0) {
     std::printf("PLAN SMOKE FAIL: no checked query improved >= 1.15x\n");
-    return 1;
-  }
-  if (mine_improved == 0) {
-    std::printf(
-        "PLAN SMOKE FAIL: adaptive selection did not improve >= 1.15x\n");
     return 1;
   }
   if (!ok) {

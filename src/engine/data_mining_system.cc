@@ -501,7 +501,6 @@ Result<MiningRunStats> DataMiningSystem::ExecuteStatementImpl(
 
   mining::CoreOptions core_options;
   core_options.algorithm = options.algorithm;
-  core_options.simple_options = options.simple_options;
   core_options.num_threads = options.num_threads;
   MR_ASSIGN_OR_RETURN(
       std::vector<mining::MinedRule> rules,

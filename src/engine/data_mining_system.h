@@ -22,17 +22,16 @@ namespace minerule::mr {
 /// Knobs for one MINE RULE execution.
 struct MiningOptions {
   /// Which pool member the simple core uses (§3: algorithm
-  /// interoperability). The default, kAuto, resolves a member from the
-  /// encoded source's shape (DESIGN.md §14); naming a member pins it. The
-  /// general core has a single implementation. Every member returns the
-  /// same rules, so this only affects speed.
-  mining::SimpleAlgorithm algorithm = mining::SimpleAlgorithm::kAuto;
-  mining::SimpleMinerOptions simple_options;
+  /// interoperability). The default is the paper's gid-list scheme
+  /// (DESIGN.md §14 has the measured landscape); a named member runs with
+  /// its default tuning. The general core has a single implementation.
+  /// Every member returns the same rules, so this only affects speed.
+  mining::SimpleAlgorithm algorithm = mining::SimpleAlgorithm::kGidList;
 
   /// Worker threads for the core operator, forwarded translator -> core
-  /// operator -> miners (overrides simple_options.num_threads). <= 0 means
-  /// hardware concurrency; 1 preserves the serial execution exactly. The
-  /// mined rules are bit-identical at every setting.
+  /// operator -> miners. <= 0 means hardware concurrency; 1 preserves the
+  /// serial execution exactly. The mined rules are bit-identical at every
+  /// setting.
   int num_threads = 0;
 
   /// Memory budget in bytes for the SQL engine's operator working sets

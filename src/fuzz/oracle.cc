@@ -714,7 +714,7 @@ Result<CaseOutcome> RunCase(const WorkloadSpec& spec,
     }
   }
 
-  // Stage 3: baseline pipeline run (threads=1, default adaptive core).
+  // Stage 3: baseline pipeline run (threads=1, default gid-list core).
   mr::MiningOptions baseline_options;
   baseline_options.num_threads = 1;
   MR_ASSIGN_OR_RETURN(PipelineRun baseline,

@@ -11,7 +11,7 @@ std::vector<FrequentItemset> FrequentSingletons(const TransactionDb& db,
                                                 int64_t min_group_count) {
   std::vector<FrequentItemset> level;
   for (ItemId item : db.items()) {
-    const int64_t count = static_cast<int64_t>(db.gid_list(item).size());
+    const int64_t count = static_cast<int64_t>(db.positions(item).size());
     if (count >= min_group_count) {
       level.push_back({Itemset{item}, count});
     }

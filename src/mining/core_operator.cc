@@ -72,22 +72,16 @@ Result<std::vector<MinedRule>> RunCoreOperator(
       ScopedSpan span("core.transactions", "core");
       return TransactionDb::FromPairs(data.simple_pairs, data.total_groups);
     }();
-    SimpleMinerOptions simple_options = options.simple_options;
-    simple_options.num_threads = options.num_threads;
-    SimpleAlgorithm algorithm = options.algorithm;
-    if (algorithm == SimpleAlgorithm::kAuto) {
-      algorithm = ChooseSimpleAlgorithm(
-          db, MinGroupCount(min_support, db.total_groups()));
-    }
+    SimpleMinerOptions miner_options;
+    miner_options.num_threads = options.num_threads;
     MR_ASSIGN_OR_RETURN(
         std::vector<MinedRule> rules,
         MineSimpleRules(db, min_support, min_confidence, body_card, head_card,
-                        algorithm, simple_options,
+                        options.algorithm, miner_options,
                         stats != nullptr ? &stats->simple : nullptr));
     if (stats != nullptr) {
       stats->used_general = false;
-      // Always the resolved pool member — kAuto never surfaces here.
-      stats->algorithm = SimpleAlgorithmName(algorithm);
+      stats->algorithm = SimpleAlgorithmName(options.algorithm);
       stats->rules_found = static_cast<int64_t>(rules.size());
     }
     return rules;

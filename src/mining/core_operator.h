@@ -54,11 +54,10 @@ struct CodedSourceData {
 /// many worker threads the mining layer may draw from the shared pool.
 struct CoreOptions {
   SimpleAlgorithm algorithm = SimpleAlgorithm::kGidList;
-  SimpleMinerOptions simple_options;
 
-  /// Applied to whichever core runs (simple pool member or the general
-  /// lattice miner); overrides simple_options.num_threads. <= 0 means
-  /// hardware concurrency, 1 preserves the serial execution exactly.
+  /// Applied to whichever core runs (simple pool member, with default
+  /// tuning otherwise, or the general lattice miner). <= 0 means hardware
+  /// concurrency, 1 preserves the serial execution exactly.
   int num_threads = 0;
 };
 

@@ -6,7 +6,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "mining/gid_list.h"
 #include "mining/simple_miner.h"
 
 namespace minerule::mining {

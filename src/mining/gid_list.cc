@@ -1,9 +1,12 @@
 #include "mining/gid_list.h"
 
+#include <algorithm>
+
 namespace minerule::mining {
 
-GidList IntersectGidLists(const GidList& a, const GidList& b) {
-  GidList out;
+PositionList IntersectPositionLists(const PositionList& a,
+                                    const PositionList& b) {
+  PositionList out;
   out.reserve(std::min(a.size(), b.size()));
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -18,23 +21,6 @@ GidList IntersectGidLists(const GidList& a, const GidList& b) {
     }
   }
   return out;
-}
-
-size_t IntersectionSize(const GidList& a, const GidList& b) {
-  size_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++count;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return count;
 }
 
 }  // namespace minerule::mining

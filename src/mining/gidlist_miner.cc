@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <type_traits>
 
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -10,18 +11,25 @@
 namespace minerule::mining {
 namespace {
 
-/// Prefix indices per level-extension morsel. A constant, so the morsel
-/// boundaries (and the order their outputs are joined in) never depend on
-/// the thread count.
-constexpr size_t kPrefixesPerMorsel = 8;
+/// Joins (prefix, later sibling) per level-extension morsel. A morsel is a
+/// run of prefix indices cut once it holds this many joins, so boundaries
+/// depend only on the level, never on the thread count. A prefix's joins
+/// shrink with its index (level[0] joins every later item): 8 prefixes per
+/// morsel put 36% of a 40-item level 2 into the first morsel, and one
+/// prefix per morsel pays a morsel's setup for each of a sparse level's
+/// many prefixes with few or no siblings.
+constexpr size_t kJoinsPerMorsel = 64;
 
-/// Sorted transaction positions (indices into TransactionDb::gids()).
-using PositionList = std::vector<uint32_t>;
-
+/// A level entry. `positions` is a view: level 1 views the database's
+/// vertical index, a longer itemset its own `owned` list, whose buffer
+/// moves with the entry.
 struct Entry {
   Itemset items;
-  PositionList positions;
+  std::span<const uint32_t> positions;
+  PositionList owned;
 };
+static_assert(std::is_nothrow_move_constructible_v<Entry>,
+              "growing a level must move entries, keeping the views valid");
 
 /// Apriori pruning: every k-subset of the (k+1)-candidate must be in the
 /// previous level, which is sorted by items. Subsets dropping one of the
@@ -41,29 +49,40 @@ bool AllSubsetsFrequent(const Itemset& candidate,
   return true;
 }
 
+/// Morsel boundaries over the prefix indices of a sorted level of
+/// k-itemsets: morsel m covers [bounds[m], bounds[m + 1]).
+std::vector<size_t> MorselBounds(const std::vector<Entry>& level, size_t k) {
+  std::vector<size_t> bounds{0};
+  size_t joins = 0;
+  size_t class_end = 0;  // end of level[i]'s prefix class
+  for (size_t i = 0; i < level.size(); ++i) {
+    if (class_end <= i) {
+      class_end = i + 1;
+      while (class_end < level.size() &&
+             SharesPrefix(level[i].items, level[class_end].items, k - 1)) {
+        ++class_end;
+      }
+    }
+    joins += class_end - i - 1;
+    if (joins >= kJoinsPerMorsel || i + 1 == level.size()) {
+      bounds.push_back(i + 1);
+      joins = 0;
+    }
+  }
+  return bounds;
+}
+
 }  // namespace
 
 Result<std::vector<FrequentItemset>> GidListMiner::Mine(
     const TransactionDb& db, int64_t min_group_count, int64_t max_size,
     SimpleMinerStats* stats) {
-  // Level 1: one position list per frequent item, built in one scan.
+  // Level 1: the frequent items' lists, read from the vertical index.
   std::vector<Entry> level;
-  std::unordered_map<ItemId, size_t> slot_of_item;
   for (ItemId item : db.items()) {
-    const size_t support = db.gid_list(item).size();
-    if (static_cast<int64_t>(support) >= min_group_count) {
-      slot_of_item.emplace(item, level.size());
-      level.push_back({Itemset{item}, {}});
-      level.back().positions.reserve(support);
-    }
-  }
-  const std::vector<Itemset>& transactions = db.transactions();
-  for (size_t t = 0; t < transactions.size(); ++t) {
-    for (ItemId item : transactions[t]) {
-      auto it = slot_of_item.find(item);
-      if (it != slot_of_item.end()) {
-        level[it->second].positions.push_back(static_cast<uint32_t>(t));
-      }
+    const PositionList& positions = db.positions(item);
+    if (static_cast<int64_t>(positions.size()) >= min_group_count) {
+      level.push_back({Itemset{item}, positions, {}});
     }
   }
   if (stats != nullptr) {
@@ -73,7 +92,7 @@ Result<std::vector<FrequentItemset>> GidListMiner::Mine(
     stats->large_per_level.push_back(static_cast<int64_t>(level.size()));
   }
 
-  const size_t bitmap_words = (transactions.size() + 63) / 64;
+  const size_t bitmap_words = (db.num_transactions() + 63) / 64;
   std::vector<FrequentItemset> result;
   while (!level.empty()) {
     ScopedSpan level_span("core.gidlist.level", "core",
@@ -88,19 +107,19 @@ Result<std::vector<FrequentItemset>> GidListMiner::Mine(
     // later level[j] of its prefix class. Each morsel fills local outputs
     // and stores them into its own slot once, so workers never write
     // neighbouring slots while they run.
-    const size_t morsels = MorselCount(level.size(), kPrefixesPerMorsel);
+    const std::vector<size_t> bounds = MorselBounds(level, k);
+    const size_t morsels = bounds.size() - 1;
     std::vector<std::vector<Entry>> slots(morsels);
     std::vector<int64_t> slot_candidates(morsels, 0);
     ParallelForMorsels(
-        level.size(), kPrefixesPerMorsel, num_threads_,
-        [&](size_t morsel, size_t begin, size_t end) {
+        morsels, 1, num_threads_, [&](size_t morsel, size_t, size_t) {
           std::vector<Entry> out;
           int64_t candidates = 0;
           std::vector<uint64_t> bitmap;  // allocated on first use
           PositionList scratch;
           Itemset candidate;
           Itemset subset;
-          for (size_t i = begin; i < end; ++i) {
+          for (size_t i = bounds[morsel]; i < bounds[morsel + 1]; ++i) {
             const Entry& left = level[i];
             if (i + 1 == level.size() ||
                 !SharesPrefix(left.items, level[i + 1].items, k - 1)) {
@@ -128,9 +147,10 @@ Result<std::vector<FrequentItemset>> GidListMiner::Mine(
                 count += (bitmap[p >> 6] >> (p & 63)) & 1;
               }
               if (static_cast<int64_t>(count) >= min_group_count) {
-                out.push_back(
-                    {candidate,
-                     PositionList(scratch.begin(), scratch.begin() + count)});
+                Entry& child = out.emplace_back();
+                child.items = candidate;
+                child.owned.assign(scratch.begin(), scratch.begin() + count);
+                child.positions = child.owned;
               }
             }
             // The bitmap was all zero before; zeroing the touched words

@@ -11,12 +11,13 @@ namespace minerule::mining {
 /// intersection of its two parents' lists. No further database passes are
 /// needed after the vertical layout is built (pass count 1).
 ///
-/// Inside Mine the lists hold transaction positions (0..n-1 into
-/// db.gids()), not gids. Each level is extended morsel-parallel over the
-/// prefix index i (num_threads workers, <= 0 = hardware): a morsel marks
-/// level[i]'s positions in an n-bit scratch bitmap, counts every sibling
-/// of the same prefix class against it without branching, and clears the
-/// words it set. Per-morsel outputs are joined in morsel order.
+/// The lists hold transaction positions (0..n-1 into db.gids()); level 1
+/// is read from the database's vertical index. Each level is extended
+/// morsel-parallel over runs of the prefix index i (num_threads workers,
+/// <= 0 = hardware): for each i a morsel marks level[i]'s positions in an
+/// n-bit scratch bitmap, counts every sibling of the same prefix class
+/// against it without branching, and clears the words it set. Per-morsel
+/// outputs are joined in morsel order.
 class GidListMiner : public FrequentItemsetMiner {
  public:
   explicit GidListMiner(int num_threads = 1) : num_threads_(num_threads) {}

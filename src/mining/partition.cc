@@ -81,12 +81,13 @@ Result<std::vector<FrequentItemset>> PartitionMiner::Mine(
               [&](size_t, size_t begin, size_t end) {
                 for (size_t c = begin; c < end; ++c) {
                   const Itemset& candidate = candidates[c];
-                  GidList gids = db.gid_list(candidate[0]);
-                  for (size_t i = 1; i < candidate.size() && !gids.empty();
-                       ++i) {
-                    gids = IntersectGidLists(gids, db.gid_list(candidate[i]));
+                  PositionList positions = db.positions(candidate[0]);
+                  for (size_t i = 1;
+                       i < candidate.size() && !positions.empty(); ++i) {
+                    positions = IntersectPositionLists(
+                        positions, db.positions(candidate[i]));
                   }
-                  counts[c] = static_cast<int64_t>(gids.size());
+                  counts[c] = static_cast<int64_t>(positions.size());
                 }
               });
   std::vector<FrequentItemset> result;

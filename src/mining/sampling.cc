@@ -14,11 +14,11 @@ namespace {
 
 /// Counts one candidate against the full vertical layout.
 int64_t CountGlobally(const TransactionDb& db, const Itemset& candidate) {
-  GidList gids = db.gid_list(candidate[0]);
-  for (size_t i = 1; i < candidate.size() && !gids.empty(); ++i) {
-    gids = IntersectGidLists(gids, db.gid_list(candidate[i]));
+  PositionList positions = db.positions(candidate[0]);
+  for (size_t i = 1; i < candidate.size() && !positions.empty(); ++i) {
+    positions = IntersectPositionLists(positions, db.positions(candidate[i]));
   }
-  return static_cast<int64_t>(gids.size());
+  return static_cast<int64_t>(positions.size());
 }
 
 /// The negative border: minimal itemsets not in `frequent` — i.e. every

@@ -32,8 +32,6 @@ const char* SimpleAlgorithmName(SimpleAlgorithm algorithm) {
       return "sampling";
     case SimpleAlgorithm::kReference:
       return "reference";
-    case SimpleAlgorithm::kAuto:
-      return "auto";
   }
   return "unknown";
 }
@@ -49,53 +47,7 @@ Result<SimpleAlgorithm> SimpleAlgorithmFromName(const std::string& name) {
   if (lower == "partition") return SimpleAlgorithm::kPartition;
   if (lower == "sampling") return SimpleAlgorithm::kSampling;
   if (lower == "reference") return SimpleAlgorithm::kReference;
-  if (lower == "auto") return SimpleAlgorithm::kAuto;
   return Status::InvalidArgument("unknown mining algorithm: " + name);
-}
-
-SimpleAlgorithm ChooseSimpleAlgorithm(const TransactionDb& db,
-                                      int64_t min_group_count) {
-  const size_t n = db.num_transactions();
-  const size_t m = db.items().size();
-  if (n == 0 || m == 0) return SimpleAlgorithm::kGidList;
-  // Exact per-item supports are free: the vertical index is already built.
-  int64_t occurrences = 0;
-  std::vector<int64_t> frequent;
-  for (ItemId item : db.items()) {
-    const int64_t support = static_cast<int64_t>(db.gid_list(item).size());
-    occurrences += support;
-    if (support >= min_group_count) frequent.push_back(support);
-  }
-  const double density = static_cast<double>(occurrences) /
-                         (static_cast<double>(n) * static_cast<double>(m));
-  // Sparse sources: the paper's gid-list scheme dominates the whole pool
-  // (measured ~3-10x vs every member at 20k and 100k transactions) — short
-  // lists make intersections cheap at every lattice depth.
-  if (density < 0.15 || m < 8 || frequent.empty()) {
-    return SimpleAlgorithm::kGidList;
-  }
-  // Dense source. Estimate how many item pairs stay frequent assuming
-  // independence: support(ij) ~ support(i) * support(j) / n. Sorted
-  // descending, the count can stop at the first i whose best partner
-  // already fails the threshold.
-  std::sort(frequent.begin(), frequent.end(), std::greater<int64_t>());
-  const double threshold = static_cast<double>(min_group_count) *
-                           static_cast<double>(n);
-  int64_t est_pairs = 0;
-  for (size_t i = 0; i + 1 < frequent.size(); ++i) {
-    const double si = static_cast<double>(frequent[i]);
-    if (si * static_cast<double>(frequent[i + 1]) < threshold) break;
-    for (size_t j = i + 1; j < frequent.size(); ++j) {
-      if (si * static_cast<double>(frequent[j]) < threshold) break;
-      ++est_pairs;
-    }
-  }
-  // Shallow lattice (fewer frequent pairs than frequent items): the cost is
-  // dominated by counting passes over dense horizontal data, where DHP's
-  // hash filter wins ~10x. A deep lattice flips it — intersections shrink
-  // with depth while horizontal re-scans do not — back to gid-lists.
-  const bool shallow = est_pairs < static_cast<int64_t>(frequent.size());
-  return shallow ? SimpleAlgorithm::kDhp : SimpleAlgorithm::kGidList;
 }
 
 std::unique_ptr<FrequentItemsetMiner> CreateMiner(
@@ -118,10 +70,6 @@ std::unique_ptr<FrequentItemsetMiner> CreateMiner(
           options.sample_rate, options.sample_lowering, options.seed);
     case SimpleAlgorithm::kReference:
       return std::make_unique<ReferenceMiner>();
-    case SimpleAlgorithm::kAuto:
-      // kAuto is resolved against the database shape before a miner is
-      // constructed; a caller without a database gets the paper's scheme.
-      return std::make_unique<GidListMiner>(options.num_threads);
   }
   return nullptr;
 }
@@ -183,9 +131,6 @@ Result<std::vector<MinedRule>> MineSimpleRules(
     const CardinalityConstraint& head_card, SimpleAlgorithm algorithm,
     const SimpleMinerOptions& options, SimpleMinerStats* stats) {
   const int64_t min_count = MinGroupCount(min_support, db.total_groups());
-  if (algorithm == SimpleAlgorithm::kAuto) {
-    algorithm = ChooseSimpleAlgorithm(db, min_count);
-  }
   std::unique_ptr<FrequentItemsetMiner> miner = CreateMiner(algorithm, options);
   if (miner == nullptr) {
     return Status::InvalidArgument("bad mining algorithm");

@@ -21,23 +21,10 @@ enum class SimpleAlgorithm {
   kPartition,  // Savasere, Omiecinski & Navathe, VLDB'95
   kSampling,   // Toivonen, VLDB'96 — sample + negative border + verify
   kReference,  // brute-force enumeration, for property tests only
-  kAuto,       // pick a pool member from the source shape (DESIGN.md §14)
 };
 
 const char* SimpleAlgorithmName(SimpleAlgorithm algorithm);
 Result<SimpleAlgorithm> SimpleAlgorithmFromName(const std::string& name);
-
-/// Resolves kAuto: picks a pool member from the encoded source's shape.
-/// Measured on uniform and pattern (Quest) workloads: the gid-list scheme
-/// dominates sparse sources and deep frequent-itemset lattices at every
-/// size, while DHP wins dense sources whose lattice stays shallow (few
-/// frequent pairs) by ~10x, because there the cost is raw counting passes
-/// rather than lattice exploration. Shallowness is estimated from the
-/// per-item supports under an independence assumption — O(items^2) on the
-/// frequent items, O(occurrences) overall. Every pool member returns the
-/// same itemsets, so this is a pure performance choice.
-SimpleAlgorithm ChooseSimpleAlgorithm(const TransactionDb& db,
-                                      int64_t min_group_count);
 
 /// Tuning knobs; the defaults match the cited papers' usual settings at the
 /// scale of our benchmarks.

@@ -105,18 +105,17 @@ void TransactionDb::BuildIndexes() {
   items_.clear();
   for (size_t t = 0; t < transactions_.size(); ++t) {
     for (ItemId item : transactions_[t]) {
-      vertical_[item].push_back(gids_[t]);
+      vertical_[item].push_back(static_cast<uint32_t>(t));
     }
   }
   items_.reserve(vertical_.size());
   for (const auto& [item, list] : vertical_) items_.push_back(item);
   std::sort(items_.begin(), items_.end());
-  // Gid lists are built in transaction order; gids_ ascend by construction
-  // in FromPairs/FromTransactions, so each list is already sorted.
+  // Positions are appended in transaction order, so each list is sorted.
 }
 
-const GidList& TransactionDb::gid_list(ItemId item) const {
-  static const GidList kEmpty;
+const PositionList& TransactionDb::positions(ItemId item) const {
+  static const PositionList kEmpty;
   auto it = vertical_.find(item);
   return it == vertical_.end() ? kEmpty : it->second;
 }

@@ -14,7 +14,8 @@ namespace minerule::mining {
 /// The simple-core view of the encoded source: one itemset per group, built
 /// from the (Gid, Bid) pairs of the CodedSource table. Offers both the
 /// horizontal layout (one itemset per group, for Apriori/DHP/Partition) and
-/// the vertical layout (one gid-list per item, for the gid-list miner).
+/// the vertical layout (one sorted position list per item, for the gid-list
+/// miner and the Partition/Sampling counting passes).
 ///
 /// `total_groups` is the Q1 count — the support denominator. It can exceed
 /// the number of transactions here because CodedSource only keeps groups
@@ -42,8 +43,9 @@ class TransactionDb {
   /// Distinct items, ascending.
   const std::vector<ItemId>& items() const { return items_; }
 
-  /// Vertical layout: gid-list of one item (empty list if unknown).
-  const GidList& gid_list(ItemId item) const;
+  /// Vertical layout: the ascending positions (indices into gids() and
+  /// transactions()) of the transactions holding `item`; empty if unknown.
+  const PositionList& positions(ItemId item) const;
 
   /// Restriction of this database to a contiguous slice of transactions
   /// (used by the Partition miner). total_groups of the slice equals the
@@ -57,7 +59,7 @@ class TransactionDb {
   std::vector<Gid> gids_;
   std::vector<Itemset> transactions_;
   std::vector<ItemId> items_;
-  std::unordered_map<ItemId, GidList> vertical_;
+  std::unordered_map<ItemId, PositionList> vertical_;
 };
 
 }  // namespace minerule::mining

@@ -1,6 +1,6 @@
 // Cross-miner differential harness — the mining-layer analogue of
-// tests/sql_differential_test.cc. On randomized Quest workloads it pins the
-// whole algorithm pool to itself:
+// tests/sql_differential_test.cc. On randomized Quest and dense uniform
+// workloads it pins the whole algorithm pool to itself:
 //
 //  1. every FrequentItemsetMiner returns exactly the same itemset set
 //     (counts included) on the same database;
@@ -83,17 +83,39 @@ TransactionDb WideQuestDb(uint64_t seed) {
   return datagen::GenerateQuestDb(params);
 }
 
+/// Dense uniform data: each of 200 transactions draws 5 of 14 items, so
+/// every item is in ~31% of them, a pair in ~10% and a triple in ~3%.
+TransactionDb DenseUniformDb(uint64_t seed) {
+  Random rng(seed);
+  std::vector<Itemset> txns(200);
+  for (Itemset& txn : txns) {
+    for (int d = 0; d < 5; ++d) {
+      txn.push_back(static_cast<ItemId>(rng.NextBounded(14)));
+    }
+  }
+  return TransactionDb::FromTransactions(std::move(txns), 200);
+}
+
 TEST_P(MiningDifferentialTest, AllSixMinersAgree) {
-  const TransactionDb db = NarrowQuestDb(GetParam());
-  for (double support : {0.05, 0.15}) {
-    const int64_t min_count = MinGroupCount(support, db.total_groups());
-    const std::vector<FrequentItemset> expected =
-        MustMine(SimpleAlgorithm::kReference, db, min_count, 1);
-    for (SimpleAlgorithm algorithm : PoolUnderTest()) {
-      ExpectSameItemsets(
-          expected, MustMine(algorithm, db, min_count, 1),
-          std::string(SimpleAlgorithmName(algorithm)) + " sup=" +
-              std::to_string(support));
+  // Dense uniform data at 0.2 stops the lattice at level 1 and at 0.02
+  // reaches past the pairs (triples or deeper at every seed below).
+  const std::pair<TransactionDb, std::vector<double>> inputs[] = {
+      {NarrowQuestDb(GetParam()), {0.05, 0.15}},
+      {DenseUniformDb(GetParam()), {0.2, 0.02}},
+  };
+  for (const auto& [db, supports] : inputs) {
+    for (double support : supports) {
+      const int64_t min_count = MinGroupCount(support, db.total_groups());
+      const std::vector<FrequentItemset> expected =
+          MustMine(SimpleAlgorithm::kReference, db, min_count, 1);
+      for (SimpleAlgorithm algorithm : PoolUnderTest()) {
+        for (int threads : {1, 2, 8}) {
+          ExpectSameItemsets(
+              expected, MustMine(algorithm, db, min_count, threads),
+              std::string(SimpleAlgorithmName(algorithm)) + " threads=" +
+                  std::to_string(threads) + " sup=" + std::to_string(support));
+        }
+      }
     }
   }
 }
@@ -166,7 +188,8 @@ TEST_P(MiningDifferentialTest, RulesAgreeAcrossPoolAndThreads) {
 /// = position. Here FromPairs gets shuffled pairs with duplicates and
 /// sparse, non-contiguous gids (one negative): the gid-list miner, which
 /// mines on transaction positions, must still equal the reference miner at
-/// every thread count, and gid_list() must still return the real gids.
+/// every thread count, and each item's positions must map through gids()
+/// to the real sparse gids holding it, -17 included.
 TEST_P(MiningDifferentialTest, GidListOnSparseShuffledPairs) {
   const TransactionDb dense = NarrowQuestDb(GetParam() + 5);
   auto sparse_gid = [](size_t t) {
@@ -193,14 +216,19 @@ TEST_P(MiningDifferentialTest, GidListOnSparseShuffledPairs) {
   ASSERT_EQ(db.gids().front(), -17);
 
   for (ItemId item : db.items()) {
-    GidList expected;
+    std::vector<Gid> expected;
     for (size_t t = 0; t < dense.num_transactions(); ++t) {
       const Itemset& txn = dense.transactions()[t];
       if (std::binary_search(txn.begin(), txn.end(), item)) {
         expected.push_back(sparse_gid(t));
       }
     }
-    ASSERT_EQ(db.gid_list(item), expected) << "item " << item;
+    std::vector<Gid> holding;
+    for (uint32_t position : db.positions(item)) {
+      ASSERT_LT(position, db.num_transactions()) << "item " << item;
+      holding.push_back(db.gids()[position]);
+    }
+    ASSERT_EQ(holding, expected) << "item " << item;
   }
 
   for (double support : {0.05, 0.15}) {

@@ -332,10 +332,8 @@ TEST_F(MiningObservabilityTest, PerPassCountersArePopulated) {
   mr::MiningRunStats stats = MustMine(&system_, kSimpleStatement);
   tracer.Enable(false);
   EXPECT_FALSE(stats.core.used_general);
-  // The default algorithm is adaptive: the stats always report the
-  // resolved pool member, never "auto".
-  EXPECT_NE(stats.core.algorithm, "auto");
-  EXPECT_FALSE(stats.core.algorithm.empty());
+  // The default simple-core member is the paper's gid-list scheme.
+  EXPECT_EQ(stats.core.algorithm, "gidlist");
   EXPECT_GE(stats.core.simple.passes, 1);
   ASSERT_FALSE(stats.core.simple.candidates_per_level.empty());
   ASSERT_FALSE(stats.core.simple.large_per_level.empty());
@@ -404,7 +402,6 @@ TEST_F(MiningObservabilityTest, PartitionSliceSizesSurfaceThroughRunStats) {
   SetUpRetail();
   mr::MiningOptions options;
   options.algorithm = mining::SimpleAlgorithm::kPartition;
-  options.simple_options.partition_count = 4;
   auto stats = system_.ExecuteMineRule(kSimpleStatement, options);
   ASSERT_TRUE(stats.ok()) << stats.status();
   const auto& sizes = stats.value().core.simple.partition_slice_sizes;
