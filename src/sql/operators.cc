@@ -501,15 +501,14 @@ Result<bool> NestedLoopJoinNode::NextImpl(Row* out) {
 HashJoinNode::HashJoinNode(ExecNodePtr left, ExecNodePtr right,
                            std::vector<ExprPtr> left_keys,
                            std::vector<ExprPtr> right_keys, ExprPtr residual,
-                           ExecContext* ctx, bool swap_build)
+                           ExecContext* ctx)
     : ExecNode(ConcatSchemas(left->schema(), right->schema())),
       left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       residual_(std::move(residual)),
-      ctx_(ctx),
-      swap_build_(swap_build) {
+      ctx_(ctx) {
   pure_ = ExprsNextValFree(left_keys_) && ExprsNextValFree(right_keys_) &&
           residual_.NextValFree();
 }
@@ -521,14 +520,13 @@ std::string HashJoinNode::detail() const {
     out += left_keys_[i]->ToSql() + " = " + right_keys_[i]->ToSql();
   }
   if (residual_.get() != nullptr) out += " AND " + residual_.get()->ToSql();
-  if (swap_build_) out += " [build=left]";
   return out;
 }
 
 void HashJoinNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   out->emplace_back("build_rows", build_rows_);
-  int64_t buckets = static_cast<int64_t>(table_.buckets()) + swap_buckets_;
+  int64_t buckets = static_cast<int64_t>(table_.buckets());
   for (const JoinTable& partition : partitions_) {
     buckets += static_cast<int64_t>(partition.buckets());
   }
@@ -540,7 +538,6 @@ void HashJoinNode::AppendExtraCounters(
     out->emplace_back("partitions", static_cast<int64_t>(partitions_.size()));
   }
   residual_.AppendCounters(out);
-  if (swap_ready_) out->emplace_back("build_side_swapped", 1);
   if (probe_skipped_) out->emplace_back("probe_skipped", 1);
   if (spill_bytes_ > 0) {
     out->emplace_back("spill_bytes", spill_bytes_);
@@ -651,12 +648,6 @@ Status HashJoinNode::OpenImpl() {
   generic_keys_ = 0;
   spill_.reset();
   probe_skipped_ = false;
-  swap_ready_ = false;
-  swap_build_rows_.clear();
-  swap_probe_rows_.clear();
-  swap_pairs_.clear();
-  swap_pos_ = 0;
-  swap_buckets_ = 0;
   current_bucket_ = {};
   bucket_pos_ = 0;
   residual_.Reset();
@@ -669,14 +660,6 @@ Status HashJoinNode::OpenImpl() {
   // keep the in-memory serial path — re-ordering their evaluation on disk
   // would change observable side effects.
   parallel_ = pure_ && num_threads != 1 && ctx_->memory_limit < 0;
-
-  // Swapped build (cost-based planner): honored only on the pure,
-  // unbudgeted path — the budgeted grace join keeps its canonical build
-  // side, which is already result-identical by construction.
-  if (swap_build_ && pure_ && ctx_->memory_limit < 0) {
-    parallel_ = false;
-    return OpenSwapped(num_threads);
-  }
 
   MR_RETURN_IF_ERROR(right_->Open());
   if (budget) return OpenBudget();
@@ -760,132 +743,6 @@ Status HashJoinNode::OpenImpl() {
   return Status::OK();
 }
 
-Status HashJoinNode::OpenSwapped(int num_threads) {
-  // Materialize the right input first, as the canonical build does, and
-  // skip the left under the canonical condition: no right row has a
-  // non-NULL key. So the swap never changes which subtrees run, nor
-  // whether a statement fails (DESIGN.md §14). Joined rows are only built
-  // at emission (SwappedRow), never here — buffering whole rows is what
-  // made the swap lose its build-side savings on cheap keys.
-  MR_RETURN_IF_ERROR(right_->Open());
-  const int64_t probe_estimate = right_->EstimatedRowCount();
-  if (probe_estimate > 0) {
-    swap_probe_rows_.reserve(static_cast<size_t>(probe_estimate));
-  }
-  MR_RETURN_IF_ERROR(
-      DrainOpenedNode(right_.get(), num_threads, &swap_probe_rows_));
-  // From here on the node is a fixed source over swap_pairs_.
-  swap_ready_ = true;
-  if (left_->SideEffectFree()) {
-    bool any_key = false;
-    Row key;
-    for (size_t i = 0; i < swap_probe_rows_.size() && !any_key; ++i) {
-      MR_ASSIGN_OR_RETURN(any_key,
-                          ComputeKey(right_keys_, swap_probe_rows_[i], &key));
-    }
-    if (!any_key) {
-      probe_skipped_ = true;
-      return Status::OK();
-    }
-  }
-
-  // Build over the materialized left input: key -> left row indexes, kept
-  // in left order.
-  MR_RETURN_IF_ERROR(left_->Open());
-  const int64_t estimate = left_->EstimatedRowCount();
-  if (estimate > 0) swap_build_rows_.reserve(static_cast<size_t>(estimate));
-  MR_RETURN_IF_ERROR(
-      DrainOpenedNode(left_.get(), num_threads, &swap_build_rows_));
-  build_consumed_rows_ = static_cast<int64_t>(swap_build_rows_.size());
-  build_consumed_bytes_ = SampledRowsBytes(swap_build_rows_);
-
-  JoinTable table;
-  table.Reset(left_keys_.size(), encodable_, swap_build_rows_.size());
-  {
-    Row key;
-    for (size_t i = 0; i < swap_build_rows_.size(); ++i) {
-      MR_ASSIGN_OR_RETURN(bool valid,
-                          ComputeKey(left_keys_, swap_build_rows_[i], &key));
-      if (!valid) continue;
-      table.Add(key, static_cast<uint32_t>(i));
-      ++build_rows_;
-    }
-  }
-  table.Seal();
-  swap_buckets_ = static_cast<int64_t>(table.buckets());
-  NoteKeys(table.index());
-  build_bytes_ = build_consumed_bytes_;
-  if (build_bytes_ > 0) {
-    GlobalMetrics()
-        .GetGauge("sql.join.build_peak_bytes")
-        ->UpdateMax(build_bytes_);
-  }
-
-  // Probe every right row (its key errors surface even over an empty
-  // build, as they do in the canonical build) and buffer matches as (left
-  // index, probe index) pairs; within a left row the probe indexes land in
-  // right-input order, so left-major emission reproduces the canonical
-  // (left-major, bucket-in-right-order) output exactly.
-  std::vector<std::vector<size_t>> groups(swap_build_rows_.size());
-  const size_t total = swap_probe_rows_.size();
-  // Residuals are evaluated while buffering: the pair list must be final
-  // before morsel consumers index it.
-  auto probe_range = [&](size_t begin, size_t end,
-                         std::vector<std::pair<size_t, size_t>>* out)
-      -> Status {
-    Row key;
-    JoinResidual::Tally tally;
-    for (size_t i = begin; i < end; ++i) {
-      MR_ASSIGN_OR_RETURN(bool valid,
-                          ComputeKey(right_keys_, swap_probe_rows_[i], &key));
-      if (!valid) continue;
-      for (size_t l : table.Find(key)) {
-        MR_ASSIGN_OR_RETURN(
-            bool pass, residual_.Passes(swap_build_rows_[l],
-                                        swap_probe_rows_[i], ctx_, &tally));
-        if (pass) out->emplace_back(l, i);
-      }
-    }
-    residual_.Add(tally);
-    return Status::OK();
-  };
-  if (num_threads != 1) {
-    // Morsel-parallel probe: fixed boundaries, per-morsel pair lists folded
-    // into the groups in morsel order — bit-identical to the serial stream
-    // at any thread count.
-    const size_t morsels = MorselCount(total, kMorselRows);
-    std::vector<std::vector<std::pair<size_t, size_t>>> slots(morsels);
-    std::vector<Status> statuses(morsels, Status::OK());
-    ParallelForMorsels(total, kMorselRows, num_threads,
-                       [&](size_t m, size_t begin, size_t end) {
-                         statuses[m] = probe_range(begin, end, &slots[m]);
-                       });
-    MR_RETURN_IF_ERROR(FirstError(statuses));
-    NoteWorkers(MorselWorkers(total, num_threads));
-    NoteDrivenMorsels(static_cast<int64_t>(morsels));
-    for (const std::vector<std::pair<size_t, size_t>>& slot : slots) {
-      for (const auto& [l, i] : slot) groups[l].push_back(i);
-    }
-  } else {
-    std::vector<std::pair<size_t, size_t>> pairs;
-    MR_RETURN_IF_ERROR(probe_range(0, total, &pairs));
-    for (const auto& [l, i] : pairs) groups[l].push_back(i);
-  }
-
-  size_t total_out = 0;
-  for (const std::vector<size_t>& group : groups) total_out += group.size();
-  swap_pairs_.reserve(total_out);
-  for (size_t l = 0; l < groups.size(); ++l) {
-    for (size_t i : groups[l]) swap_pairs_.emplace_back(l, i);
-  }
-  return Status::OK();
-}
-
-Row HashJoinNode::SwappedRow(size_t i) const {
-  const auto& [l, r] = swap_pairs_[i];
-  return ConcatRows(swap_build_rows_[l], swap_probe_rows_[r]);
-}
-
 Result<bool> HashJoinNode::PullLeft(Row* out) {
   if (probe_skipped_) return false;
   if (parallel_) {
@@ -897,11 +754,6 @@ Result<bool> HashJoinNode::PullLeft(Row* out) {
 }
 
 Result<bool> HashJoinNode::NextImpl(Row* out) {
-  if (swap_ready_) {
-    if (swap_pos_ >= swap_pairs_.size()) return false;
-    *out = SwappedRow(swap_pos_++);
-    return true;
-  }
   if (spill_ != nullptr) return NextSpill(out);
   while (true) {
     while (bucket_pos_ < current_bucket_.size()) {
@@ -937,11 +789,6 @@ Status HashJoinNode::ProbeRow(const Row& left_row, Row* key,
 
 Status HashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
                                         std::vector<Row>* out) {
-  if (swap_ready_) {
-    out->reserve(out->size() + (end - begin));
-    for (size_t i = begin; i < end; ++i) out->push_back(SwappedRow(i));
-    return Status::OK();
-  }
   Row key;
   JoinResidual::Tally tally;
   for (size_t i = begin; i < end; ++i) {

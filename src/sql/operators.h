@@ -589,28 +589,17 @@ class NestedLoopJoinNode : public ExecNode {
 /// side-effect free.
 class HashJoinNode : public ExecNode {
  public:
-  /// `swap_build` asks for the swapped build side (build over the *left*
-  /// input, stream the right) — chosen by the cost-based planner when the
-  /// left side is estimated much smaller (DESIGN.md §14). Honored only when
-  /// the expressions are pure and no memory budget is set; ignored
-  /// otherwise, falling back to the canonical right-side build. Output rows
-  /// and their order are identical either way: swapped mode groups matches
-  /// by probe-side arrival under each left row and emits them grouped in
-  /// left order, which reproduces the canonical left-outer/right-inner
-  /// emission order exactly.
   HashJoinNode(ExecNodePtr left, ExecNodePtr right,
                std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
-               ExprPtr residual, ExecContext* ctx, bool swap_build = false);
+               ExprPtr residual, ExecContext* ctx);
   ~HashJoinNode() override;
   const char* name() const override { return "HashJoin"; }
   std::string detail() const override;
   std::vector<ExecNode*> children() override {
     return {left_.get(), right_.get()};
   }
-  bool SupportsMorsels() const override { return parallel_ || swap_ready_; }
-  size_t MorselInputRows() const override {
-    return swap_ready_ ? swap_pairs_.size() : left_rows_.size();
-  }
+  bool SupportsMorsels() const override { return parallel_; }
+  size_t MorselInputRows() const override { return left_rows_.size(); }
   bool SideEffectFree() const override {
     return pure_ && left_->SideEffectFree() && right_->SideEffectFree();
   }
@@ -648,20 +637,6 @@ class HashJoinNode : public ExecNode {
   Status OpenBudget();
   Result<bool> NextSpill(Row* out);
 
-  /// Swapped-build path (swap_build constructor flag): materializes both
-  /// inputs, the right one first and the left one only when the canonical
-  /// build would probe it, builds key -> left-row-index buckets over the
-  /// (small) left input, streams the right input through them
-  /// (morsel-parallel when num_threads != 1), and buffers each match as a
-  /// (left index, right index) pair, flattened in left-major order — the
-  /// canonical output order. Joined rows are constructed lazily at
-  /// emission, so the swap never materializes the output twice. After this
-  /// the node is a plain morsel source over swap_pairs_.
-  Status OpenSwapped(int num_threads);
-
-  /// The i-th output row of the swapped join, built on demand.
-  Row SwappedRow(size_t i) const;
-
   ExecNodePtr left_;
   ExecNodePtr right_;
   std::vector<ExprPtr> left_keys_;
@@ -672,13 +647,6 @@ class HashJoinNode : public ExecNode {
   bool encodable_ = false; // key types allow KeyIndex encoding (at Open)
   bool parallel_ = false;  // decided at Open()
   bool probe_skipped_ = false;
-  const bool swap_build_;   // planner request (constructor)
-  bool swap_ready_ = false;  // swapped pairs materialized (decided at Open)
-  std::vector<Row> swap_build_rows_;  // materialized left input
-  std::vector<Row> swap_probe_rows_;  // materialized right input
-  std::vector<std::pair<size_t, size_t>> swap_pairs_;  // left-major matches
-  size_t swap_pos_ = 0;
-  int64_t swap_buckets_ = 0;
   /// Build rows the tables index into: the valid-key rows in serial mode,
   /// every materialized build row in parallel mode.
   std::vector<Row> build_side_;

@@ -135,11 +135,6 @@ void RewriteMatches(ExprPtr* expr, const std::vector<const Expr*>& targets,
 constexpr double kDefaultSel = 1.0 / 3.0;
 /// Equality against an unknown expression.
 constexpr double kEqDefaultSel = 0.1;
-/// The probe side must be this many times larger than the build side before
-/// a build-side swap pays for materializing the grouped matches.
-constexpr double kSwapBuildRatio = 4.0;
-/// Probe sides smaller than this never justify a swap.
-constexpr double kSwapMinProbeRows = 1024.0;
 /// A reordered join must beat the canonical order by this factor to cover
 /// the hidden-rowid restore sort it requires.
 constexpr double kReorderMargin = 1.2;
@@ -542,14 +537,14 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::BuildLeftDeep(
 
     // Every conjunct the join makes bindable is its residual, evaluated on
     // each candidate pair before the pair is concatenated.
-    const bool build_left = hooks.before_join && hooks.before_join(t);
+    if (hooks.before_join) hooks.before_join(t);
     BindScope joined = scope;
     joined.Append(scopes[t]);
     MR_ASSIGN_OR_RETURN(ExprPtr residual, take_bindable(joined));
     if (!left_keys.empty()) {
       current = std::make_unique<HashJoinNode>(
           std::move(current), std::move(inputs[t]), std::move(left_keys),
-          std::move(right_keys), std::move(residual), ctx_, build_left);
+          std::move(right_keys), std::move(residual), ctx_);
     } else {
       current = std::make_unique<NestedLoopJoinNode>(
           std::move(current), std::move(inputs[t]), std::move(residual), ctx_);
@@ -880,12 +875,6 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
     const double left_est = run.est;
     advance(&run, t);
     join_cost = left_est + eff_rows[t] + run.est;
-    // Build over the smaller input: the canonical node builds over its
-    // right child, so a much larger right input gets a build-side swap.
-    // The swapped mode emits the canonical output order exactly and is
-    // honored only on the pure unbudgeted path.
-    return ctx_->memory_limit < 0 && eff_rows[t] >= kSwapMinProbeRows &&
-           left_est * kSwapBuildRatio < eff_rows[t];
   };
   hooks.placed = [&](ExecNode* node, bool join) {
     node->SetPlanEstimates(run.est, join ? join_cost : run.est);

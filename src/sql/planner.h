@@ -51,9 +51,9 @@ struct PlannedSelect {
 /// (a) push pure single-table conjuncts onto their scans, (b) reorder joins
 /// when a cheaper left-deep order exists — restoring the canonical output
 /// order afterwards through hidden per-table row numbers and a final sort,
-/// (c) build each hash join over its smaller input, and (d) size the spill
-/// fan-out. Every one of these choices is result-transparent. Any other
-/// FROM list — generated queries over freshly created scratch tables,
+/// and (c) size the spill fan-out; every hash join builds over its right
+/// input either way. Every one of these choices is result-transparent. Any
+/// other FROM list — generated queries over freshly created scratch tables,
 /// views, subqueries — keeps the FROM-order plan above.
 class Planner {
  public:
@@ -77,9 +77,8 @@ class Planner {
   /// Per-step hooks through which PlanFromWhereCostBased annotates
   /// BuildLeftDeep's nodes; the FROM-order plan leaves them empty.
   struct JoinHooks {
-    /// Before input `t` joins in; true builds the hash table over the left
-    /// (accumulated) input instead of input `t`.
-    std::function<bool(size_t t)> before_join;
+    /// Before input `t` joins in.
+    std::function<void(size_t t)> before_join;
     /// On each node placed: a join, or a filter over one input.
     std::function<void(ExecNode* node, bool join)> placed;
     /// After input `t` joined.

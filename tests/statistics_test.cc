@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -297,20 +298,21 @@ TEST_F(CostBasedPlanningTest, ExplainAnalyzeShowsActualsAgainstEstimates) {
   EXPECT_NE(plan.find("rows=2"), std::string::npos) << plan;
 }
 
-// The FROM-order plan always builds the hash table over the right input;
-// with 10:1 skew the plan from statistics must put the build on the smaller
-// left side — and the output bytes must not move.
-TEST_F(CostBasedPlanningTest, SwapsBuildSideOnSkew) {
+// Every hash join builds over its right input, so a two-input join plans
+// the same operators with or without ANALYZE: statistics only annotate the
+// plan. On the skewed pair the output bytes must match the FROM-order
+// baseline on every executor.
+TEST_F(CostBasedPlanningTest, SkewedJoinIdenticalAcrossExecutors) {
   SetUpSkew();
   const std::string query =
       "SELECT small.tag, big.v FROM small, big WHERE small.k = big.k";
 
+  const std::regex estimates(" est_(rows|cost)=[0-9]+");
   const std::string plan = Plan("EXPLAIN " + query);
-  EXPECT_NE(plan.find("[build=left]"), std::string::npos) << plan;
-
+  EXPECT_NE(plan.find("est_rows="), std::string::npos) << plan;
   const std::string baseline_plan = Plan("EXPLAIN " + query, /*plain=*/true);
-  EXPECT_EQ(baseline_plan.find("[build=left]"), std::string::npos)
-      << baseline_plan;
+  EXPECT_EQ(std::regex_replace(plan, estimates, ""), baseline_plan)
+      << plan << "vs\n" << baseline_plan;
   const std::string baseline = Dump(MustExecutePlain(query));
   ASSERT_FALSE(baseline.empty());
 
@@ -500,13 +502,13 @@ TEST_F(CostBasedPlanningTest, SingleInputConjunctOutcomeIndependentOfAnalyze) {
   }
 }
 
-// The swapped build runs the subtrees the canonical build runs: the right
-// input always, the left only when some right row has a key. So a failing
-// conjunct on one side fails, or is skipped, alike with and without the
-// swap: `10 / big.z` fails on big's z = 0 row although small's filtered
-// side is empty, and `10 / small.d` is never evaluated when big's filtered
-// side is empty.
-TEST_F(CostBasedPlanningTest, SwappedBuildOutcomeIndependentOfAnalyze) {
+// A join over analyzed tables runs the subtrees the FROM-order join runs:
+// the right input always, the left only when some right row has a key. So
+// a failing conjunct on one side fails, or is skipped, alike with and
+// without ANALYZE: `10 / big.z` fails on big's z = 0 row although small's
+// filtered side is empty, and `10 / small.d` is never evaluated when big's
+// filtered side is empty.
+TEST_F(CostBasedPlanningTest, JoinOutcomeIndependentOfAnalyze) {
   MustExecute("CREATE TABLE small (k INTEGER, tag VARCHAR, d INTEGER)");
   MustExecute("CREATE TABLE big (k INTEGER, z INTEGER)");
   std::string small_rows;
@@ -534,9 +536,6 @@ TEST_F(CostBasedPlanningTest, SwappedBuildOutcomeIndependentOfAnalyze) {
   }
   MustExecute("ANALYZE");
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_NE(Plan("EXPLAIN " + queries[i]).find("[build=left]"),
-              std::string::npos)
-        << queries[i];
     for (int threads : {1, 4}) {
       engine_.set_num_threads(threads);
       Result<QueryResult> after = engine_.Execute(queries[i]);
