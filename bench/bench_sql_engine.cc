@@ -296,12 +296,14 @@ BENCHMARK(BM_ParseOnly);
 
 // ---------------------------------------------------------------------------
 // --smoke: the CI gate (DESIGN.md §12). Runs the int-keyed hot paths on the
-// default columnar scan path and on the row scan path (selected by a
-// never-spilling budget), requires byte-identical results on every query,
-// and requires the columnar path to be no slower than the row path on the
-// checked scan/filter shapes (small tolerance for shared-runner noise) with
-// a real improvement on at least one of them. Joins and aggregates run the
-// same row operators on both sides, so they are identity checks only.
+// default batch path (no memory budget) and on the row path (selected by a
+// never-spilling budget), requires byte-identical results on every query —
+// the batch side at 1 and at 8 threads — and requires the batch path to be
+// no slower than the row path on the checked scan/filter shapes (small
+// tolerance for shared-runner noise) with a real improvement on at least
+// one of them. The join, DISTINCT, projection and group shapes run the
+// batch operators on one side and the row operators on the other, so their
+// identity checks compare two implementations; they are not timed gates.
 // Prints one JSON object per query and a final SMOKE OK / SMOKE FAIL.
 
 struct SmokeQuery {
@@ -339,6 +341,9 @@ int RunSmoke() {
                        "FROM facts GROUP BY grp", false},
       {"join_then_group", "SELECT d.grp, COUNT(*), SUM(f.val) FROM facts f, "
                           "dims d WHERE f.grp = d.grp GROUP BY d.grp", false},
+      {"distinct_int", "SELECT DISTINCT grp FROM facts", false},
+      {"project_expr", "SELECT id * 2 + grp, val / 2 FROM facts "
+                       "WHERE grp < 500", false},
   };
 
   bool ok = true;
@@ -368,6 +373,16 @@ int RunSmoke() {
     }
     if (dump[0] != dump[1]) {
       std::printf("]\nSMOKE FAIL %s: columnar result differs from row\n",
+                  q.name);
+      return 1;
+    }
+    // The batch side again with parallel morsels: the same bytes.
+    SelectScanPath(&engine, true);
+    engine.set_num_threads(8);
+    auto parallel = engine.Execute(q.sql);
+    engine.set_num_threads(1);
+    if (!parallel.ok() || RenderResult(parallel.value()) != dump[0]) {
+      std::printf("]\nSMOKE FAIL %s: result at 8 threads differs from row\n",
                   q.name);
       return 1;
     }

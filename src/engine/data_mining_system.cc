@@ -226,25 +226,54 @@ std::string MiningRunStats::ToJson() const {
 Result<std::vector<int64_t>> DataMiningSystem::ReadEncoded(
     const std::string& relation, const std::vector<std::string>& columns) {
   // A view (the general class's DISTINCT CodedSourceB/H) is a query: the
-  // engine runs it. A base table is read in place, in row order, as the
-  // engine's scan would return it, with no result set in between.
-  std::vector<size_t> indices;
-  std::optional<sql::QueryResult> view_rows;
-  std::shared_ptr<Table> table;
-  if (catalog_->HasView(relation)) {
-    MR_ASSIGN_OR_RETURN(view_rows,
-                        sql_engine_.Execute("SELECT " + Join(columns, ", ") +
-                                            " FROM " + relation));
-    for (size_t c = 0; c < columns.size(); ++c) indices.push_back(c);
-  } else {
-    MR_ASSIGN_OR_RETURN(table, catalog_->GetTable(relation));
-    for (const std::string& column : columns) {
-      MR_ASSIGN_OR_RETURN(size_t index, table->schema().ResolveColumn(column));
-      indices.push_back(index);
-    }
-  }
-  const std::vector<Row>& rows = table ? table->rows() : view_rows->rows;
+  // engine runs it and hands over its batches' int64 columns. A base table
+  // is read in place, in row order, as the engine's scan would return it.
+  // Either way no result set is built in between.
   std::vector<int64_t> values;
+  if (catalog_->HasView(relation)) {
+    MR_ASSIGN_OR_RETURN(sql::BatchResult result,
+                        sql_engine_.ExecuteBatches("SELECT " +
+                                                   Join(columns, ", ") +
+                                                   " FROM " + relation));
+    size_t rows = 0;
+    for (const sql::Batch& batch : result.batches) rows += batch.size();
+    values.resize(rows * columns.size());
+    const size_t width = columns.size();
+    std::vector<int64_t>::iterator out = values.begin();
+    for (const sql::Batch& batch : result.batches) {
+      // Plain int64 columns are copied; any other column is checked value
+      // by value, in row-major order like a scan of the rows.
+      std::vector<const ColumnVector*> typed(width, nullptr);
+      for (size_t c = 0; c < width; ++c) {
+        const ColumnVector& column = *batch.columns[c];
+        if (column.encoding() == ColumnEncoding::kInt64 &&
+            column.declared_type() == DataType::kInteger &&
+            !column.nulls().AnyNull()) {
+          typed[c] = &column;
+        }
+      }
+      for (uint32_t row : batch.sel) {
+        for (size_t c = 0; c < width; ++c) {
+          if (typed[c] != nullptr) {
+            *out++ = typed[c]->ints()[row];
+            continue;
+          }
+          const Value v = batch.columns[c]->GetValue(row);
+          if (v.type() != DataType::kInteger) return NotAnInteger(c);
+          *out++ = v.AsInteger();
+        }
+      }
+    }
+    return values;
+  }
+  MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
+                      catalog_->GetTable(relation));
+  std::vector<size_t> indices;
+  for (const std::string& column : columns) {
+    MR_ASSIGN_OR_RETURN(size_t index, table->schema().ResolveColumn(column));
+    indices.push_back(index);
+  }
+  const std::vector<Row>& rows = table->rows();
   values.reserve(rows.size() * indices.size());
   for (const Row& row : rows) {
     for (size_t c = 0; c < indices.size(); ++c) {

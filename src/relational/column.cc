@@ -45,22 +45,25 @@ const char* ColumnEncodingName(ColumnEncoding encoding) {
   return "?";
 }
 
-ColumnVector ColumnVector::Encode(DataType declared,
-                                  const std::vector<Row>& rows, size_t col) {
+/// Encodes value_at(0..n-1) under `declared` (the body of every encoding
+/// entry point). value_at(i) returns a const Value&.
+template <typename ValueAt>
+ColumnVector ColumnVector::EncodeValues(DataType declared, size_t n,
+                                        ValueAt value_at) {
   ColumnVector out;
   out.declared_ = declared;
-  out.nulls_.Reset(rows.size());
+  out.nulls_.Reset(n);
 
   auto fall_back_to_generic = [&] {
     out.encoding_ = ColumnEncoding::kGeneric;
     out.ints_.clear();
     out.doubles_.clear();
     out.codes_.clear();
-    out.dict_.clear();
-    out.nulls_.Reset(rows.size());
-    out.generic_.reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Value& v = rows[i][col];
+    out.dict_.reset();
+    out.nulls_.Reset(n);
+    out.generic_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Value& v = value_at(i);
       if (v.is_null()) out.nulls_.SetNull(i);
       out.generic_.push_back(v);
     }
@@ -71,9 +74,9 @@ ColumnVector ColumnVector::Encode(DataType declared,
     case DataType::kDate:
     case DataType::kBoolean: {
       out.encoding_ = ColumnEncoding::kInt64;
-      out.ints_.reserve(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Value& v = rows[i][col];
+      out.ints_.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        const Value& v = value_at(i);
         if (v.is_null()) {
           out.nulls_.SetNull(i);
           out.ints_.push_back(0);
@@ -89,9 +92,9 @@ ColumnVector ColumnVector::Encode(DataType declared,
     }
     case DataType::kDouble: {
       out.encoding_ = ColumnEncoding::kDouble;
-      out.doubles_.reserve(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Value& v = rows[i][col];
+      out.doubles_.reserve(n);
+      for (size_t i = 0; i < n; ++i) {
+        const Value& v = value_at(i);
         if (v.is_null()) {
           out.nulls_.SetNull(i);
           out.doubles_.push_back(0.0);
@@ -107,10 +110,11 @@ ColumnVector ColumnVector::Encode(DataType declared,
     }
     case DataType::kString: {
       out.encoding_ = ColumnEncoding::kDict;
-      out.codes_.reserve(rows.size());
+      out.codes_.reserve(n);
+      auto dict = std::make_shared<std::vector<std::string>>();
       std::unordered_map<std::string, uint16_t> interned;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const Value& v = rows[i][col];
+      for (size_t i = 0; i < n; ++i) {
+        const Value& v = value_at(i);
         if (v.is_null()) {
           out.nulls_.SetNull(i);
           out.codes_.push_back(0);
@@ -120,17 +124,18 @@ ColumnVector ColumnVector::Encode(DataType declared,
           fall_back_to_generic();
           return out;
         }
-        auto [it, inserted] =
-            interned.try_emplace(v.AsString(), out.dict_.size());
+        auto [it, inserted] = interned.try_emplace(
+            v.AsString(), static_cast<uint16_t>(dict->size()));
         if (inserted) {
-          if (out.dict_.size() >= kMaxDictEntries) {
+          if (dict->size() >= kMaxDictEntries) {
             fall_back_to_generic();
             return out;
           }
-          out.dict_.push_back(v.AsString());
+          dict->push_back(v.AsString());
         }
         out.codes_.push_back(it->second);
       }
+      out.dict_ = std::move(dict);
       return out;
     }
     default:
@@ -139,6 +144,101 @@ ColumnVector ColumnVector::Encode(DataType declared,
       fall_back_to_generic();
       return out;
   }
+}
+
+ColumnVector ColumnVector::Encode(DataType declared,
+                                  const std::vector<Row>& rows, size_t col) {
+  return EncodeRange(declared, rows, col, 0, rows.size());
+}
+
+ColumnVector ColumnVector::EncodeRange(DataType declared,
+                                       const std::vector<Row>& rows,
+                                       size_t col, size_t begin, size_t end) {
+  return EncodeValues(declared, end - begin, [&](size_t i) -> const Value& {
+    return rows[begin + i][col];
+  });
+}
+
+ColumnVector ColumnVector::FromValues(DataType declared,
+                                      const std::vector<Value>& values) {
+  return EncodeValues(declared, values.size(),
+                      [&](size_t i) -> const Value& { return values[i]; });
+}
+
+ColumnVector ColumnVector::Gather(const ColumnVector& column,
+                                  std::span<const uint32_t> rows) {
+  const Slice slice{&column, rows};
+  return Gather(column.declared_, std::span<const Slice>(&slice, 1));
+}
+
+ColumnVector ColumnVector::Gather(DataType declared,
+                                  std::span<const Slice> slices) {
+  size_t n = 0;
+  const ColumnVector* first = nullptr;
+  bool typed = true;
+  for (const Slice& slice : slices) {
+    n += slice.rows.size();
+    if (first == nullptr) {
+      first = slice.column;
+    } else if (slice.column->encoding_ != first->encoding_ ||
+               slice.column->declared_ != first->declared_ ||
+               slice.column->dict_ != first->dict_) {
+      typed = false;
+    }
+  }
+  if (first == nullptr) return FromValues(declared, {});
+  if (!typed) {
+    std::vector<Value> values;
+    values.reserve(n);
+    for (const Slice& slice : slices) {
+      for (uint32_t r : slice.rows) values.push_back(slice.column->GetValue(r));
+    }
+    return FromValues(declared, values);
+  }
+
+  ColumnVector out;
+  out.encoding_ = first->encoding_;
+  out.declared_ = first->declared_;
+  out.dict_ = first->dict_;
+  out.nulls_.Reset(n);
+  size_t pos = 0;
+  for (const Slice& slice : slices) {
+    const ColumnVector& src = *slice.column;
+    if (src.nulls_.AnyNull()) {
+      for (size_t k = 0; k < slice.rows.size(); ++k) {
+        if (src.nulls_.IsNull(slice.rows[k])) out.nulls_.SetNull(pos + k);
+      }
+    }
+    pos += slice.rows.size();
+  }
+  auto copy = [&](auto& dst, const auto& member) {
+    dst.resize(n);
+    size_t at = 0;
+    for (const Slice& slice : slices) {
+      const auto& src = slice.column->*member;
+      for (uint32_t r : slice.rows) dst[at++] = src[r];
+    }
+  };
+  switch (out.encoding_) {
+    case ColumnEncoding::kInt64:
+      copy(out.ints_, &ColumnVector::ints_);
+      break;
+    case ColumnEncoding::kDouble:
+      copy(out.doubles_, &ColumnVector::doubles_);
+      break;
+    case ColumnEncoding::kDict:
+      copy(out.codes_, &ColumnVector::codes_);
+      break;
+    case ColumnEncoding::kGeneric:
+      copy(out.generic_, &ColumnVector::generic_);
+      break;
+  }
+  return out;
+}
+
+const std::vector<std::string>& ColumnVector::dictionary() const {
+  static const std::vector<std::string> kEmpty;
+  return dict_ != nullptr ? *dict_ : kEmpty;
 }
 
 Value ColumnVector::GetValue(size_t i) const {
@@ -158,7 +258,7 @@ Value ColumnVector::GetValue(size_t i) const {
     case ColumnEncoding::kDouble:
       return Value::Double(doubles_[i]);
     case ColumnEncoding::kDict:
-      return Value::String(dict_[codes_[i]]);
+      return Value::String((*dict_)[codes_[i]]);
     case ColumnEncoding::kGeneric:
       return generic_[i];
   }
@@ -170,7 +270,7 @@ int64_t ColumnVector::ByteSize() const {
   bytes += static_cast<int64_t>(ints_.size() * sizeof(int64_t));
   bytes += static_cast<int64_t>(doubles_.size() * sizeof(double));
   bytes += static_cast<int64_t>(codes_.size() * sizeof(uint16_t));
-  for (const std::string& s : dict_) {
+  for (const std::string& s : dictionary()) {
     bytes += static_cast<int64_t>(sizeof(std::string) + s.size());
   }
   for (const Value& v : generic_) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,27 @@ class ColumnVector {
   /// Encodes column `col` of `rows` under declared type `declared`.
   static ColumnVector Encode(DataType declared, const std::vector<Row>& rows,
                              size_t col);
+  /// Encodes column `col` of rows[begin, end).
+  static ColumnVector EncodeRange(DataType declared,
+                                  const std::vector<Row>& rows, size_t col,
+                                  size_t begin, size_t end);
+  /// Encodes `values` under declared type `declared`.
+  static ColumnVector FromValues(DataType declared,
+                                 const std::vector<Value>& values);
+
+  /// Rows of one column, in the order they are to be gathered.
+  struct Slice {
+    const ColumnVector* column = nullptr;
+    std::span<const uint32_t> rows;
+  };
+  /// The rows of `column` listed in `rows`, in that order: a typed copy
+  /// that keeps the encoding and shares the dictionary.
+  static ColumnVector Gather(const ColumnVector& column,
+                             std::span<const uint32_t> rows);
+  /// The slices' rows concatenated in order. A typed copy when every slice
+  /// has the same encoding, declared type and dictionary; otherwise the
+  /// values are encoded afresh under `declared`.
+  static ColumnVector Gather(DataType declared, std::span<const Slice> slices);
 
   ColumnEncoding encoding() const { return encoding_; }
   DataType declared_type() const { return declared_; }
@@ -81,18 +103,23 @@ class ColumnVector {
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
   const std::vector<uint16_t>& codes() const { return codes_; }
-  const std::vector<std::string>& dictionary() const { return dict_; }
+  const std::vector<std::string>& dictionary() const;
 
   int64_t ByteSize() const;
 
  private:
+  template <typename ValueAt>
+  static ColumnVector EncodeValues(DataType declared, size_t n,
+                                   ValueAt value_at);
+
   ColumnEncoding encoding_ = ColumnEncoding::kGeneric;
   DataType declared_ = DataType::kNull;
   NullBitmap nulls_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
   std::vector<uint16_t> codes_;
-  std::vector<std::string> dict_;
+  /// Shared by the columns gathered from this one.
+  std::shared_ptr<const std::vector<std::string>> dict_;
   std::vector<Value> generic_;
 };
 

@@ -38,6 +38,8 @@ Status Table::Append(Row row) {
         " columns");
   }
   for (size_t i = 0; i < row.size(); ++i) {
+    // A NULL or a value of the column's type is stored as it is, uncopied.
+    if (row[i].is_null() || row[i].type() == schema_.column(i).type) continue;
     MR_ASSIGN_OR_RETURN(
         row[i], CoerceValueToColumn(row[i], schema_.column(i).type,
                                     schema_.column(i).name));

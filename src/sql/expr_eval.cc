@@ -376,4 +376,14 @@ Result<bool> EvalPredicate(const Expr& expr, const JoinedRow& row,
   return EvalPredicateImpl(expr, row, ctx);
 }
 
+Result<Value> EvalExpr(const Expr& expr, const ColumnRow& row,
+                       ExecContext* ctx) {
+  return EvalExprImpl(expr, row, ctx);
+}
+
+Result<bool> EvalPredicate(const Expr& expr, const ColumnRow& row,
+                           ExecContext* ctx) {
+  return EvalPredicateImpl(expr, row, ctx);
+}
+
 }  // namespace minerule::sql

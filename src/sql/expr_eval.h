@@ -2,10 +2,13 @@
 #define MINERULE_SQL_EXPR_EVAL_H_
 
 #include <map>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "relational/catalog.h"
+#include "relational/column.h"
 #include "relational/schema.h"
 #include "sql/ast.h"
 
@@ -74,6 +77,26 @@ struct JoinedRow {
   }
 };
 
+/// A row read in place from column vectors (DESIGN.md §12): row `row` of
+/// `columns`, followed — for a join pair — by row `right_row` of `*right`.
+/// Batch operators evaluate expressions on it without building a Row.
+struct ColumnRow {
+  using Columns = std::vector<std::shared_ptr<const ColumnVector>>;
+  const Columns& columns;
+  uint32_t row;
+  const Columns* right = nullptr;
+  uint32_t right_row = 0;
+
+  size_t size() const {
+    return columns.size() + (right != nullptr ? right->size() : 0);
+  }
+  Value operator[](size_t i) const {
+    return i < columns.size() ? columns[i]->GetValue(row)
+                              : (*right)[i - columns.size()]->GetValue(
+                                    right_row);
+  }
+};
+
 /// Evaluates a *bound* expression against `row`. SQL three-valued logic:
 /// comparisons and arithmetic over NULL yield NULL; AND/OR follow Kleene
 /// semantics. Aggregate nodes are a hard error here — the planner rewrites
@@ -88,6 +111,12 @@ Result<bool> EvalPredicate(const Expr& expr, const Row& row, ExecContext* ctx);
 Result<Value> EvalExpr(const Expr& expr, const JoinedRow& row,
                        ExecContext* ctx);
 Result<bool> EvalPredicate(const Expr& expr, const JoinedRow& row,
+                           ExecContext* ctx);
+
+/// The same evaluation over a row of column vectors.
+Result<Value> EvalExpr(const Expr& expr, const ColumnRow& row,
+                       ExecContext* ctx);
+Result<bool> EvalPredicate(const Expr& expr, const ColumnRow& row,
                            ExecContext* ctx);
 
 }  // namespace minerule::sql

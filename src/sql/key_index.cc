@@ -181,23 +181,7 @@ uint32_t KeyIndex::Insert(const Row& key, bool* inserted) {
   if (encodable_) {
     WordBuffer buffer(stride_);
     uint64_t* words = buffer.data();
-    if (Encode(key, words)) {
-      const uint64_t hash = HashWords(words);
-      size_t pos = Probe(words, hash);
-      if (slots_[pos] != 0) {
-        *inserted = false;
-        return entry_ids_[slots_[pos] - 1];
-      }
-      if ((entry_ids_.size() + 1) * 2 > slots_.size()) {
-        Grow();
-        pos = Probe(words, hash);
-      }
-      slots_[pos] = static_cast<uint32_t>(entry_ids_.size()) + 1;
-      arena_.insert(arena_.end(), words, words + stride_);
-      entry_ids_.push_back(size_);
-      *inserted = true;
-      return size_++;
-    }
+    if (Encode(key, words)) return InsertWords(words, inserted);
   }
   auto [it, added] = generic_.try_emplace(key, size_);
   *inserted = added;
@@ -206,14 +190,34 @@ uint32_t KeyIndex::Insert(const Row& key, bool* inserted) {
   return size_++;
 }
 
+uint32_t KeyIndex::InsertWords(const uint64_t* words, bool* inserted) {
+  const uint64_t hash = HashWords(words);
+  size_t pos = Probe(words, hash);
+  if (slots_[pos] != 0) {
+    *inserted = false;
+    return entry_ids_[slots_[pos] - 1];
+  }
+  if ((entry_ids_.size() + 1) * 2 > slots_.size()) {
+    Grow();
+    pos = Probe(words, hash);
+  }
+  slots_[pos] = static_cast<uint32_t>(entry_ids_.size()) + 1;
+  arena_.insert(arena_.end(), words, words + stride_);
+  entry_ids_.push_back(size_);
+  *inserted = true;
+  return size_++;
+}
+
+uint32_t KeyIndex::FindWords(const uint64_t* words) const {
+  const uint32_t slot = slots_[Probe(words, HashWords(words))];
+  return slot == 0 ? kAbsent : entry_ids_[slot - 1];
+}
+
 uint32_t KeyIndex::Find(const Row& key) const {
   if (encodable_) {
     WordBuffer buffer(stride_);
     uint64_t* words = buffer.data();
-    if (Encode(key, words)) {
-      const uint32_t slot = slots_[Probe(words, HashWords(words))];
-      return slot == 0 ? kAbsent : entry_ids_[slot - 1];
-    }
+    if (Encode(key, words)) return FindWords(words);
   }
   auto it = generic_.find(key);
   return it == generic_.end() ? kAbsent : it->second;
@@ -245,6 +249,12 @@ void JoinTable::Add(const Row& key, uint32_t row) {
   rows_.push_back(row);
 }
 
+void JoinTable::AddWords(const uint64_t* words, uint32_t row) {
+  bool inserted = false;
+  ids_.push_back(index_.InsertWords(words, &inserted));
+  rows_.push_back(row);
+}
+
 void JoinTable::Seal() {
   const size_t keys = index_.size();
   offsets_.assign(keys + 1, 0);
@@ -268,11 +278,100 @@ void JoinTable::Seal() {
   ids_.shrink_to_fit();
 }
 
-std::span<const uint32_t> JoinTable::Find(const Row& key) const {
-  const uint32_t id = index_.Find(key);
+std::span<const uint32_t> JoinTable::RowsOf(uint32_t id) const {
   if (id == KeyIndex::kAbsent) return {};
   return std::span<const uint32_t>(rows_.data() + offsets_[id],
                                    offsets_[id + 1] - offsets_[id]);
+}
+
+std::span<const uint32_t> JoinTable::Find(const Row& key) const {
+  return RowsOf(index_.Find(key));
+}
+
+std::span<const uint32_t> JoinTable::FindWords(const uint64_t* words) const {
+  return RowsOf(index_.FindWords(words));
+}
+
+// ---------------------------------------------------------------------------
+// KeyWords
+// ---------------------------------------------------------------------------
+
+void KeyWords::Encode(const std::vector<const ColumnVector*>& columns,
+                      std::span<const uint32_t> rows, bool encodable) {
+  width = columns.size();
+  const size_t n = rows.size();
+  const size_t stride = 2 * width;
+  words.resize(n * stride);
+  state.assign(n, encodable ? kWords : kFallback);
+  has_null.assign(n, 0);
+  for (size_t c = 0; c < width; ++c) {
+    const ColumnVector& col = *columns[c];
+    const bool nullable = col.nulls().AnyNull();
+    uint64_t* out = words.data() + 2 * c;
+    if (nullable) {
+      for (size_t k = 0; k < n; ++k) {
+        if (col.IsNull(rows[k])) has_null[k] = 1;
+      }
+    }
+    if (!encodable) continue;
+    // Typed loops per encoding; a NULL slot gets the NULL tag, like
+    // EncodeValue(Value::Null()).
+    auto put = [&](size_t k, uint64_t tag, uint64_t payload) {
+      if (nullable && has_null[k] && col.IsNull(rows[k])) {
+        tag = kTagNull;
+        payload = 0;
+      }
+      out[k * stride] = tag;
+      out[k * stride + 1] = payload;
+    };
+    switch (col.encoding()) {
+      case ColumnEncoding::kInt64: {
+        const std::vector<int64_t>& ints = col.ints();
+        uint64_t tag = kTagInteger;
+        if (col.declared_type() == DataType::kDate) tag = kTagDate;
+        if (col.declared_type() == DataType::kBoolean) tag = kTagBoolean;
+        for (size_t k = 0; k < n; ++k) {
+          const int64_t v = ints[rows[k]];
+          put(k, tag,
+              tag == kTagBoolean ? (v != 0 ? 1 : 0) : static_cast<uint64_t>(v));
+        }
+        break;
+      }
+      case ColumnEncoding::kDouble:
+      case ColumnEncoding::kGeneric:
+        for (size_t k = 0; k < n; ++k) {
+          if (state[k] != kWords) continue;
+          uint64_t tag = 0;
+          uint64_t payload = 0;
+          if (EncodeValue(col.GetValue(rows[k]), &tag, &payload)) {
+            out[k * stride] = tag;
+            out[k * stride + 1] = payload;
+          } else {
+            state[k] = kFallback;
+          }
+        }
+        break;
+      case ColumnEncoding::kDict:
+        // Strings have no canonical form; NULL slots still do, but one
+        // non-NULL string decides the row's path.
+        for (size_t k = 0; k < n; ++k) {
+          if (col.IsNull(rows[k])) {
+            out[k * stride] = kTagNull;
+            out[k * stride + 1] = 0;
+          } else {
+            state[k] = kFallback;
+          }
+        }
+        break;
+    }
+  }
+}
+
+Row KeyRow(const std::vector<const ColumnVector*>& columns, uint32_t row) {
+  Row key;
+  key.reserve(columns.size());
+  for (const ColumnVector* col : columns) key.push_back(col->GetValue(row));
+  return key;
 }
 
 }  // namespace minerule::sql

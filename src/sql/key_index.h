@@ -6,9 +6,36 @@
 #include <unordered_map>
 #include <vector>
 
+#include "relational/column.h"
 #include "relational/schema.h"
 
 namespace minerule::sql {
+
+/// Key words of a batch (DESIGN.md §12, "Hash keys"): the key columns of
+/// each listed row encoded column by column straight from the typed
+/// payloads, into the same (tag, payload) words KeyIndex encodes a key
+/// Row's values into.
+struct KeyWords {
+  enum State : uint8_t {
+    kWords = 0,     // every column encoded: words() holds the key
+    kFallback = 1,  // some value has no canonical form: use KeyRow()
+  };
+  size_t width = 0;
+  std::vector<uint64_t> words;  // 2 * width per row
+  std::vector<uint8_t> state;   // one State per row
+  std::vector<uint8_t> has_null;  // 1 when any key column is NULL
+
+  /// Encodes `rows` of `columns`. With `encodable` false (string-typed
+  /// keys) every row takes the fallback.
+  void Encode(const std::vector<const ColumnVector*>& columns,
+              std::span<const uint32_t> rows, bool encodable);
+  const uint64_t* row_words(size_t k) const {
+    return words.data() + k * 2 * width;
+  }
+};
+
+/// The key Row of row `row` of `columns`: the fallback path's key.
+Row KeyRow(const std::vector<const ColumnVector*>& columns, uint32_t row);
 
 /// Maps key rows to dense ids 0, 1, 2, ... in first-seen order. It is the
 /// one hash table behind DISTINCT, GROUP BY and hash join (DESIGN.md §12,
@@ -49,6 +76,14 @@ class KeyIndex {
 
   /// Id of `key`, or kAbsent.
   uint32_t Find(const Row& key) const;
+
+  /// The same over a key already encoded (KeyWords): the words entry
+  /// point of batch operators. Only valid when encodable() holds.
+  uint32_t InsertWords(const uint64_t* words, bool* inserted);
+  uint32_t FindWords(const uint64_t* words) const;
+
+  /// Whether Reset chose the encoded path.
+  bool encodable() const { return encodable_; }
 
   /// Distinct keys seen.
   size_t size() const { return size_; }
@@ -102,12 +137,15 @@ class JoinTable {
 
   /// Adds build row `row` under `key`. Rows of one key keep Add order.
   void Add(const Row& key, uint32_t row);
+  /// Add over an encoded key (KeyIndex::InsertWords).
+  void AddWords(const uint64_t* words, uint32_t row);
 
   /// Groups the added rows by key; call once, after the last Add.
   void Seal();
 
   /// Build-row indexes of `key` in Add order; empty when absent.
   std::span<const uint32_t> Find(const Row& key) const;
+  std::span<const uint32_t> FindWords(const uint64_t* words) const;
 
   /// Every added row index, grouped by key in first-seen key order.
   const std::vector<uint32_t>& rows() const { return rows_; }
@@ -115,6 +153,8 @@ class JoinTable {
   const KeyIndex& index() const { return index_; }
 
  private:
+  std::span<const uint32_t> RowsOf(uint32_t id) const;
+
   KeyIndex index_;
   std::vector<uint32_t> ids_;      // key id per Add; released by Seal
   std::vector<uint32_t> rows_;     // Add order, then grouped by Seal

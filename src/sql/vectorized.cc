@@ -107,26 +107,25 @@ void VecScanNode::AppendExtraCounters(
 
 Status VecScanNode::OpenImpl() {
   columnar_ = table_->Columnar();
-  snapshot_rows_ = columnar_->num_rows;
+  image_.rows = columnar_->num_rows;
+  image_.columns.clear();
+  for (const ColumnVector& column : columnar_->columns) {
+    // Aliasing pointers: each keeps the whole image alive.
+    image_.columns.emplace_back(columnar_, &column);
+  }
   bytes_ = columnar_->ByteSize();
   pos_ = 0;
   return Status::OK();
 }
 
 Result<bool> VecScanNode::NextImpl(Row* out) {
-  if (pos_ >= snapshot_rows_) return false;
+  if (pos_ >= image_.rows) return false;
   columnar_->MaterializeRow(pos_++, out);
   return true;
 }
 
-Status VecScanNode::EvaluateMorselImpl(size_t begin, size_t end,
-                                       std::vector<Row>* out) {
-  out->reserve(out->size() + (end - begin));
-  for (size_t i = begin; i < end; ++i) {
-    Row row;
-    columnar_->MaterializeRow(i, &row);
-    out->push_back(std::move(row));
-  }
+Status VecScanNode::EvaluateBatchImpl(size_t begin, size_t end, Batch* out) {
+  image_.Serve(begin, end, out);
   return Status::OK();
 }
 
@@ -147,12 +146,11 @@ void VecFilterNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   const int64_t scanned = scanned_.load(std::memory_order_relaxed);
   const int64_t selected = selected_.load(std::memory_order_relaxed);
-  out->emplace_back("batches", batches_.load(std::memory_order_relaxed));
   out->emplace_back("sel_vector_density",
                     scanned > 0 ? 100 * selected / scanned : 0);
 }
 
-bool VecFilterNode::Kernel::Matches(size_t i) const {
+bool FilterKernels::Kernel::Matches(size_t i) const {
   if (col->IsNull(i)) return false;  // NULL comparison -> NULL -> reject
   switch (kind) {
     case Kind::kIntInt: {
@@ -177,7 +175,9 @@ bool VecFilterNode::Kernel::Matches(size_t i) const {
   return false;
 }
 
-bool VecFilterNode::CompileOne(const Expr& conjunct, Kernel* kernel) const {
+bool FilterKernels::CompileOne(const Expr& conjunct,
+                               const ColumnRow::Columns& columns,
+                               Kernel* kernel) {
   if (conjunct.kind != ExprKind::kBinary) return false;
   const auto& bin = static_cast<const BinaryExpr&>(conjunct);
   if (!IsComparisonOp(bin.op)) return false;
@@ -195,13 +195,13 @@ bool VecFilterNode::CompileOne(const Expr& conjunct, Kernel* kernel) const {
   }
   const auto& ref = static_cast<const ColumnRefExpr&>(*col_side);
   if (ref.bound_index < 0 ||
-      static_cast<size_t>(ref.bound_index) >= columnar_->columns.size()) {
+      static_cast<size_t>(ref.bound_index) >= columns.size()) {
     return false;
   }
   const Value& lit = static_cast<const LiteralExpr&>(*lit_side).value;
   if (lit.is_null()) return false;  // NULL literal rejects all; keep row path
 
-  const ColumnVector& col = columnar_->columns[ref.bound_index];
+  const ColumnVector& col = *columns[ref.bound_index];
   kernel->col = &col;
   kernel->op = op;
 
@@ -288,95 +288,63 @@ bool VecFilterNode::CompileOne(const Expr& conjunct, Kernel* kernel) const {
   return false;
 }
 
-void VecFilterNode::CompileKernels() {
+bool FilterKernels::Compile(const Expr& predicate,
+                            const ColumnRow::Columns& columns) {
   kernels_.clear();
-  use_kernels_ = false;
   std::vector<const Expr*> conjuncts;
-  CollectConjuncts(*predicate_, &conjuncts);
+  CollectConjuncts(predicate, &conjuncts);
   std::vector<Kernel> kernels;
   kernels.reserve(conjuncts.size());
   for (const Expr* c : conjuncts) {
     Kernel kernel;
-    // All-or-nothing: a partially kernelized AND could change which conjunct
-    // errors first, so any non-compiling conjunct keeps the whole predicate
-    // on per-row evaluation.
-    if (!CompileOne(*c, &kernel)) return;
+    if (!CompileOne(*c, columns, &kernel)) return false;
     kernels.push_back(std::move(kernel));
   }
   kernels_ = std::move(kernels);
-  use_kernels_ = true;
+  return true;
+}
+
+void FilterKernels::Apply(std::vector<uint32_t>* sel) const {
+  for (const Kernel& kernel : kernels_) {
+    size_t kept = 0;
+    for (uint32_t i : *sel) {
+      if (kernel.Matches(i)) (*sel)[kept++] = i;
+    }
+    sel->resize(kept);
+    if (sel->empty()) return;
+  }
 }
 
 Status VecFilterNode::OpenImpl() {
   MR_RETURN_IF_ERROR(scan_->Open());
-  columnar_ = scan_->columnar();
-  cursor_ = 0;
-  buffer_.clear();
-  buf_pos_ = 0;
-  CompileKernels();
+  scanned_.store(0, std::memory_order_relaxed);
+  selected_.store(0, std::memory_order_relaxed);
+  use_kernels_ = kernels_.Compile(*predicate_, scan_->columns());
   return Status::OK();
 }
 
-Status VecFilterNode::EvalBatch(size_t begin, size_t end,
-                                std::vector<Row>* out) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  scanned_.fetch_add(static_cast<int64_t>(end - begin),
+Result<bool> VecFilterNode::NextImpl(Row* out) { return NextFromBatches(out); }
+
+Status VecFilterNode::EvaluateBatchImpl(size_t begin, size_t end, Batch* out) {
+  MR_RETURN_IF_ERROR(scan_->RunBatch(begin, end, out));
+  std::vector<uint32_t>& sel = out->sel;
+  scanned_.fetch_add(static_cast<int64_t>(sel.size()),
                      std::memory_order_relaxed);
-  scan_->AccountFusedRead(static_cast<int64_t>(end - begin));
-  const size_t before = out->size();
   if (use_kernels_) {
-    std::vector<size_t> sel;
-    sel.reserve(end - begin);
-    const Kernel& first = kernels_.front();
-    for (size_t i = begin; i < end; ++i) {
-      if (first.Matches(i)) sel.push_back(i);
-    }
-    for (size_t k = 1; k < kernels_.size() && !sel.empty(); ++k) {
-      const Kernel& kernel = kernels_[k];
-      size_t w = 0;
-      for (size_t i : sel) {
-        if (kernel.Matches(i)) sel[w++] = i;
-      }
-      sel.resize(w);
-    }
-    out->reserve(out->size() + sel.size());
-    for (size_t i : sel) {
-      Row row;
-      columnar_->MaterializeRow(i, &row);
-      out->push_back(std::move(row));
-    }
+    kernels_.Apply(&sel);
   } else {
-    Row row;
-    for (size_t i = begin; i < end; ++i) {
-      columnar_->MaterializeRow(i, &row);
-      MR_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*predicate_, row, ctx_));
-      if (keep) out->push_back(std::move(row));
+    size_t kept = 0;
+    for (uint32_t i : sel) {
+      MR_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*predicate_,
+                                                   ColumnRow{out->columns, i},
+                                                   ctx_));
+      if (keep) sel[kept++] = i;
     }
+    sel.resize(kept);
   }
-  selected_.fetch_add(static_cast<int64_t>(out->size() - before),
+  selected_.fetch_add(static_cast<int64_t>(sel.size()),
                       std::memory_order_relaxed);
   return Status::OK();
-}
-
-Result<bool> VecFilterNode::NextImpl(Row* out) {
-  while (true) {
-    if (buf_pos_ < buffer_.size()) {
-      *out = std::move(buffer_[buf_pos_++]);
-      return true;
-    }
-    buffer_.clear();
-    buf_pos_ = 0;
-    const size_t total = columnar_->num_rows;
-    if (cursor_ >= total) return false;
-    const size_t end = std::min(cursor_ + kMorselRows, total);
-    MR_RETURN_IF_ERROR(EvalBatch(cursor_, end, &buffer_));
-    cursor_ = end;
-  }
-}
-
-Status VecFilterNode::EvaluateMorselImpl(size_t begin, size_t end,
-                                         std::vector<Row>* out) {
-  return EvalBatch(begin, end, out);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,88 +11,27 @@
 
 namespace minerule::sql {
 
-/// Columnar (batch) scan and scan-fused filter (DESIGN.md §12). They are the
-/// engine's in-memory scan path: the planner builds them via the factories
-/// below whenever ExecContext::vectorized is set, which the engine derives
-/// per statement from the absence of a memory budget. A budgeted statement
-/// keeps the row TableScan/Filter that feed the spill operators. Joins and
-/// aggregates are always the row operators (sql/operators.h), which consume
-/// these nodes through the volcano Open/Next shim and the morsel protocol,
-/// so EXPLAIN and operator profiles work unchanged. Both nodes are
-/// bit-identical to their row twins at any thread count (the differential
-/// tests pin this).
+/// Columnar scan and scan-fused filter (DESIGN.md §12): the leaves of the
+/// batch pipelines of unbudgeted plans. The planner builds them via the
+/// factories below whenever ExecContext::vectorized is set, which the
+/// engine derives per statement from the absence of a memory budget. A
+/// budgeted statement keeps the row TableScan/Filter that feed the spill
+/// operators. Both nodes are bit-identical to their row twins at any thread
+/// count (the differential tests pin this).
 
-/// Columnar scan over a catalog table: Open() snapshots the table's cached
-/// columnar image (relational/column.h), Next()/RunMorsel materialize rows
-/// from it. A fused VecFilterNode reads the column vectors directly and
-/// accounts the bypassed rows here so the profile stays truthful.
-class VecScanNode : public ExecNode {
+/// The conjuncts of a WHERE predicate compiled to typed kernels over the
+/// columns of a batch: <column> <cmp> <literal> comparisons over the int64
+/// / double / dictionary payload arrays. All-or-nothing: a partially
+/// kernelized AND could change which conjunct errors first, so any
+/// conjunct without a kernel leaves the whole predicate to per-row
+/// evaluation.
+class FilterKernels {
  public:
-  explicit VecScanNode(std::shared_ptr<Table> table);
-  const char* name() const override { return "VecScan"; }
-  std::string detail() const override;
-  bool SupportsMorsels() const override { return true; }
-  size_t MorselInputRows() const override { return snapshot_rows_; }
-  bool SideEffectFree() const override { return true; }
-  int64_t EstimatedRowCount() const override;
-  void AppendExtraCounters(
-      std::vector<std::pair<std::string, int64_t>>* out) const override;
-
-  /// The columnar snapshot taken at Open(); null before Open.
-  const ColumnarTable* columnar() const { return columnar_.get(); }
-
-  /// Called by a fused parent that consumed `rows` of this scan's columns
-  /// without going through Next/RunMorsel.
-  void AccountFusedRead(int64_t rows) { CountBypassedRows(rows); }
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
-  Status EvaluateMorselImpl(size_t begin, size_t end,
-                            std::vector<Row>* out) override;
-
- private:
-  std::shared_ptr<Table> table_;
-  std::shared_ptr<const ColumnarTable> columnar_;
-  size_t snapshot_rows_ = 0;
-  size_t pos_ = 0;
-  int64_t bytes_ = 0;
-};
-
-/// Scan-fused filter: evaluates the predicate over the scan's column vectors
-/// in kMorselRows-sized batches, producing a selection vector of surviving
-/// row indexes, and materializes only the survivors. Comparison conjuncts of
-/// the form <column> <cmp> <literal> compile to typed kernels over the int64
-/// / double / dictionary payload arrays; any other predicate shape falls
-/// back to per-row evaluation of the whole predicate (same batching, same
-/// results, same errors). Batch boundaries are a pure function of the input
-/// size, so per-batch outputs concatenated in batch order reproduce the
-/// serial row order at any thread count.
-class VecFilterNode : public ExecNode {
- public:
-  VecFilterNode(std::unique_ptr<VecScanNode> scan, ExprPtr predicate,
-                ExecContext* ctx);
-  const char* name() const override { return "VecFilter"; }
-  std::string detail() const override;
-  std::vector<ExecNode*> children() override { return {scan_.get()}; }
-  bool SupportsMorsels() const override { return true; }
-  size_t MorselInputRows() const override { return scan_->MorselInputRows(); }
-  bool SideEffectFree() const override { return true; }
-  int64_t EstimatedRowCount() const override {
-    return scan_->EstimatedRowCount();  // upper bound (filter only drops)
-  }
-  void RecordParallelWorkers(int workers) override {
-    NoteWorkers(workers);
-    scan_->RecordParallelWorkers(workers);
-  }
-  void AppendExtraCounters(
-      std::vector<std::pair<std::string, int64_t>>* out) const override;
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
-  Status EvaluateMorselImpl(size_t begin, size_t end,
-                            std::vector<Row>* out) override;
+  /// Compiles `predicate` against `columns` (indexed like its bound column
+  /// references); false, with no kernels, when some conjunct has none.
+  bool Compile(const Expr& predicate, const ColumnRow::Columns& columns);
+  /// Keeps the rows of *sel that every kernel passes, in order.
+  void Apply(std::vector<uint32_t>* sel) const;
 
  private:
   /// One compiled <column> <cmp> <literal> conjunct. `kind` selects the
@@ -121,22 +60,83 @@ class VecFilterNode : public ExecNode {
     bool Matches(size_t i) const;
   };
 
-  void CompileKernels();
-  bool CompileOne(const Expr& conjunct, Kernel* kernel) const;
-  Status EvalBatch(size_t begin, size_t end, std::vector<Row>* out);
+  static bool CompileOne(const Expr& conjunct,
+                         const ColumnRow::Columns& columns, Kernel* kernel);
 
+  std::vector<Kernel> kernels_;
+};
+
+/// Columnar scan over a catalog table: Open() snapshots the table's cached
+/// columnar image (relational/column.h); a batch borrows the image's
+/// columns and selects the morsel's rows, copying nothing.
+class VecScanNode : public ExecNode {
+ public:
+  explicit VecScanNode(std::shared_ptr<Table> table);
+  const char* name() const override { return "VecScan"; }
+  std::string detail() const override;
+  bool ProducesBatches() const override { return true; }
+  size_t MorselInputRows() const override { return image_.rows; }
+  bool SideEffectFree() const override { return true; }
+  int64_t EstimatedRowCount() const override;
+  void AppendExtraCounters(
+      std::vector<std::pair<std::string, int64_t>>* out) const override;
+
+  /// The columnar snapshot's columns, taken at Open().
+  const ColumnRow::Columns& columns() const { return image_.columns; }
+
+ protected:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Row* out) override;
+  Status EvaluateBatchImpl(size_t begin, size_t end, Batch* out) override;
+
+ private:
+  std::shared_ptr<Table> table_;
+  std::shared_ptr<const ColumnarTable> columnar_;
+  ColumnSet image_;  // columnar_'s columns, shared into every batch
+  size_t pos_ = 0;
+  int64_t bytes_ = 0;
+};
+
+/// Scan-fused filter: evaluates the predicate over the scan's batch,
+/// shortening its selection vector. Comparison conjuncts of the form
+/// <column> <cmp> <literal> compile to typed kernels over the int64 /
+/// double / dictionary payload arrays; any other predicate shape is
+/// evaluated per selected row in place (same results, same errors). Batch
+/// boundaries are a pure function of the input size, so per-batch outputs
+/// concatenated in batch order reproduce the serial row order at any thread
+/// count.
+class VecFilterNode : public ExecNode {
+ public:
+  VecFilterNode(std::unique_ptr<VecScanNode> scan, ExprPtr predicate,
+                ExecContext* ctx);
+  const char* name() const override { return "VecFilter"; }
+  std::string detail() const override;
+  std::vector<ExecNode*> children() override { return {scan_.get()}; }
+  bool ProducesBatches() const override { return true; }
+  size_t MorselInputRows() const override { return scan_->MorselInputRows(); }
+  bool SideEffectFree() const override { return true; }
+  int64_t EstimatedRowCount() const override {
+    return scan_->EstimatedRowCount();  // upper bound (filter only drops)
+  }
+  void RecordParallelWorkers(int workers) override {
+    NoteWorkers(workers);
+    scan_->RecordParallelWorkers(workers);
+  }
+  void AppendExtraCounters(
+      std::vector<std::pair<std::string, int64_t>>* out) const override;
+
+ protected:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Row* out) override;
+  Status EvaluateBatchImpl(size_t begin, size_t end, Batch* out) override;
+
+ private:
   std::unique_ptr<VecScanNode> scan_;
   ExprPtr predicate_;
   ExecContext* ctx_;
-  const ColumnarTable* columnar_ = nullptr;  // borrowed from scan_
-  std::vector<Kernel> kernels_;
+  FilterKernels kernels_;
   bool use_kernels_ = false;
-  // Serial Next() shim: one batch of survivors at a time.
-  size_t cursor_ = 0;
-  std::vector<Row> buffer_;
-  size_t buf_pos_ = 0;
   // Counters.
-  std::atomic<int64_t> batches_{0};
   std::atomic<int64_t> scanned_{0};
   std::atomic<int64_t> selected_{0};
 };

@@ -86,8 +86,8 @@ TEST_F(ObservabilityTest, ExplainGoldenPlan) {
 
 // Unbudgeted (the default), the same statements scan base tables columnar;
 // the plan shape is unchanged, only the scan names and the fused
-// scan+filter differ, and joins and aggregates are the same row operators
-// (DESIGN.md §12).
+// scan+filter differ. Every operator above the scans keeps its name while
+// running on batches (DESIGN.md §12).
 TEST_F(ObservabilityTest, ExplainGoldenPlanVectorized) {
   SetUpSmallTables();
   EXPECT_EQ(Plan("EXPLAIN SELECT t.b, s.c FROM t, s WHERE t.a = s.a AND "
@@ -110,6 +110,46 @@ TEST_F(ObservabilityTest, ExplainGoldenPlanVectorized) {
             "Project (b)\n"
             "  -> VecFilter ((a >= 2))\n"
             "    -> VecScan (t)\n");
+}
+
+// Q8's shape: a conjunct on a view input stays a Filter over the view's
+// plan, and runs on batches — the scan's compiled comparison kernels over
+// the columns the view's column-reference Project passes through. EXPLAIN
+// ANALYZE shows the batches on every operator of the pipeline.
+TEST_F(ObservabilityTest, ExplainGoldenPlanFilterOverView) {
+  MustSql("CREATE TABLE msb (Gid INTEGER, Cid INTEGER, Bid INTEGER, "
+          "price DOUBLE)");
+  MustSql("INSERT INTO msb VALUES (1, 1, 1, 150.0), (1, 2, 2, 50.0), "
+          "(2, 3, 1, 120.0), (2, 4, 3, 80.0)");
+  MustSql("CREATE VIEW msh AS (SELECT Gid, Cid, Bid AS Hid, price FROM msb)");
+  const std::string sql =
+      "SELECT S1.Gid, S2.Hid FROM msb AS S1, msh AS S2 WHERE "
+      "S1.Gid = S2.Gid AND S1.Bid <> S2.Hid AND S1.price >= 100 AND "
+      "S2.price < 100";
+  EXPECT_EQ(Plan("EXPLAIN " + sql),
+            "Project (S1.Gid, S2.Hid)\n"
+            "  -> HashJoin (S1.Gid = S2.Gid AND (S1.Bid <> S2.Hid))\n"
+            "    -> VecFilter ((S1.price >= 100))\n"
+            "      -> VecScan (msb)\n"
+            "    -> Filter ((S2.price < 100))\n"
+            "      -> Project (Gid, Cid, Bid, price)\n"
+            "        -> VecScan (msb)\n");
+  const std::string analyzed = Plan("EXPLAIN ANALYZE " + sql);
+  EXPECT_NE(analyzed.find("Filter ((S2.price < 100)) rows=2"),
+            std::string::npos)
+      << analyzed;
+  EXPECT_NE(analyzed.find("HashJoin (S1.Gid = S2.Gid AND (S1.Bid <> S2.Hid)) "
+                          "rows=2"),
+            std::string::npos)
+      << analyzed;
+  for (const char* op : {"Project (S1.Gid", "HashJoin", "Filter ((S2",
+                         "Project (Gid"}) {
+    const size_t line = analyzed.find(op);
+    ASSERT_NE(line, std::string::npos) << op << "\n" << analyzed;
+    const std::string text =
+        analyzed.substr(line, analyzed.find('\n', line) - line);
+    EXPECT_NE(text.find("batches=1"), std::string::npos) << text;
+  }
 }
 
 // Conjuncts that span both inputs of a join are the join's residual: the
