@@ -2,9 +2,10 @@
 // the building blocks every generated Q0..Q11 program decomposes into.
 // The architecture assumes these are "effectively and efficiently evaluated
 // by the SQL server itself" (§3); this binary quantifies that for our
-// server. Benchmark arg 1 selects the scan path (DESIGN.md §12): 1 is the
-// default columnar scan/filter (no memory budget), 0 the row TableScan/Filter
-// that an explicit, never-spilling memory budget selects.
+// server. Benchmark arg 1 selects the execution path (DESIGN.md §12): 1 is
+// the default batch path over the scans' columnar images (no memory
+// budget), 0 the row path that an explicit, never-spilling memory budget
+// selects, where the same TableScan and Filter run on rows.
 //
 //   bench_sql_engine                # full Google-benchmark sweep
 //   bench_sql_engine --smoke        # CI gate: columnar vs row differential
@@ -38,11 +39,11 @@ namespace {
 
 using namespace minerule;
 
-/// A memory budget no working set reaches: nothing spills, and the planner
-/// keeps the row TableScan/Filter instead of the columnar ones.
+/// A memory budget no working set reaches: nothing spills, the scans never
+/// build their columnar images, and a serial plan runs on rows.
 constexpr int64_t kRowPathBudget = std::numeric_limits<int64_t>::max();
 
-/// Selects the columnar (default, unbudgeted) or the row scan path. Both
+/// Selects the columnar (default, unbudgeted) or the row path. Both
 /// sides set the budget explicitly, so MINERULE_MEMORY_LIMIT in the
 /// environment never changes what is compared.
 void SelectScanPath(sql::SqlEngine* engine, bool columnar) {

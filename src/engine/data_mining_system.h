@@ -36,8 +36,8 @@ struct MiningOptions {
 
   /// Memory budget in bytes for the SQL engine's operator working sets
   /// (DESIGN.md §13): >= 0 makes the buffering operators spill to disk past
-  /// the budget (0 spills everything) and keeps the row scan/filter that
-  /// feed them, < 0 disables the budget and scans columnar. The mined
+  /// the budget (0 spills everything) and runs a serial plan on rows, < 0
+  /// disables the budget and scans the cached columnar images. The mined
   /// rules are bit-identical at every setting. kMemoryLimitInherit (the
   /// default) leaves the engine's own setting alone — which the engine
   /// seeds from the MINERULE_MEMORY_LIMIT environment variable — so the

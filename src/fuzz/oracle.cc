@@ -863,8 +863,8 @@ Result<CaseOutcome> RunCase(const WorkloadSpec& spec,
 
   // Route: identical bytes under a tiny memory budget (DESIGN.md §13) —
   // every buffering operator in the generated queries spills to disk and
-  // the scans run row-at-a-time instead of columnar (§12) — serial and at
-  // the sweep width.
+  // the serial plans run on rows instead of the scans' columnar images
+  // (§12) — serial and at the sweep width.
   if (options.run_memory_budget) {
     std::vector<int> widths = {1};
     if (options.threads > 1) widths.push_back(options.threads);

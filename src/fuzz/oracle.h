@@ -20,9 +20,9 @@ struct OracleOptions {
   /// Re-runs the pipeline with a tiny SQL memory budget (DESIGN.md §13) so
   /// every buffering operator spills to disk, at 1 and `threads` workers;
   /// the catalog dump must match the in-memory baseline byte for byte. The
-  /// unbudgeted baseline scans and filters columnar (DESIGN.md §12) while a
-  /// budget keeps the row scan/filter, so this route is also the
-  /// columnar-vs-row comparison.
+  /// unbudgeted baseline runs batches over the scans' columnar images
+  /// (DESIGN.md §12) while the serial budgeted run stays on rows, so this
+  /// route is also the columnar-vs-row comparison.
   bool run_memory_budget = true;
   /// The budget the memory-budget route applies, in bytes.
   int64_t memory_budget_bytes = 1024;

@@ -295,14 +295,6 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::FromRows(
   return out;
 }
 
-void ColumnarTable::MaterializeRow(size_t i, Row* out) const {
-  out->clear();
-  out->reserve(columns.size());
-  for (const ColumnVector& col : columns) {
-    out->push_back(col.GetValue(i));
-  }
-}
-
 int64_t ColumnarTable::ByteSize() const {
   int64_t bytes = 0;
   for (const ColumnVector& col : columns) bytes += col.ByteSize();

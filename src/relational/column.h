@@ -134,9 +134,6 @@ struct ColumnarTable {
   static std::shared_ptr<const ColumnarTable> FromRows(
       const Schema& schema, const std::vector<Row>& rows);
 
-  /// Materializes row i (clears and fills *out).
-  void MaterializeRow(size_t i, Row* out) const;
-
   int64_t ByteSize() const;
 };
 

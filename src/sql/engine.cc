@@ -84,9 +84,6 @@ ExecContext SqlEngine::MakeContext() {
   ctx.catalog = catalog_;
   ctx.host_vars = &host_vars_;
   ctx.num_threads = num_threads_;
-  // The one executor selection: a budget keeps the row scan/filter that
-  // feed the spill operators; otherwise base tables scan columnar.
-  ctx.vectorized = memory_limit_ < 0;
   ctx.memory_limit = memory_limit_;
   ctx.spill_dir = spill_dir_;
   ctx.stats = &statistics_;

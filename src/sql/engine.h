@@ -84,9 +84,10 @@ class SqlEngine {
   /// < 0 (the default) disables the budget; >= 0 makes the buffering
   /// operators — hash-join build, aggregation, sort — spill to disk once
   /// their accounted working set exceeds it (0 spills everything). The
-  /// budget also selects the scan path: unbudgeted statements scan and
-  /// filter base tables columnar (DESIGN.md §12), budgeted ones keep the
-  /// row TableScan/Filter that feed the spill operators. Results are
+  /// budget also selects how scans make batches: unbudgeted, a scan serves
+  /// its table's cached columnar image (DESIGN.md §12); budgeted, it never
+  /// builds the image, and a serial plan runs on rows into the spill
+  /// operators. Results are
   /// bit-identical to unbudgeted execution at every thread count. The
   /// constructor seeds this from the MINERULE_MEMORY_LIMIT environment
   /// variable when it is set, so whole test suites can be rerun under a

@@ -28,20 +28,15 @@ struct ExecContext {
   /// at Open(); the plan shape never depends on it.
   int num_threads = 1;
 
-  /// When true the planner scans and filters base tables columnar
-  /// (DESIGN.md §12). The engine sets it per statement to
-  /// `memory_limit < 0`: a budget keeps the row TableScan/Filter that feed
-  /// the spill operators. Results are bit-identical either way; only the
-  /// execution strategy changes.
-  bool vectorized = false;
-
   /// Memory budget in bytes for operator working sets (DESIGN.md §13).
   /// < 0 (the default) disables the budget entirely. >= 0 makes the
   /// buffering operators — hash-join build, aggregation, sort — run their
   /// budgeted serial paths and spill to disk once their accounted working
   /// set exceeds the budget (0 therefore spills everything). Results are
   /// bit-identical to unbudgeted execution at every thread count; the
-  /// budget governs working sets, not the delivered result set.
+  /// budget governs working sets, not the delivered result set. Without a
+  /// budget, base-table scans serve the table's cached columnar image
+  /// (DESIGN.md §12); under one the image is never built.
   int64_t memory_limit = -1;
 
   /// Directory for spill files; empty means $TMPDIR (or /tmp). Spill files

@@ -8,7 +8,6 @@
 #include "sql/binder.h"
 #include "sql/operators_spill_state.h"
 #include "sql/spill.h"
-#include "sql/vectorized.h"
 
 namespace minerule::sql {
 
@@ -373,8 +372,8 @@ std::vector<std::string> RenderPlan(ExecNode* root, bool analyze) {
 // TableScanNode
 // ---------------------------------------------------------------------------
 
-TableScanNode::TableScanNode(std::shared_ptr<Table> table)
-    : ExecNode(table->schema()), table_(std::move(table)) {}
+TableScanNode::TableScanNode(std::shared_ptr<Table> table, ExecContext* ctx)
+    : ExecNode(table->schema()), table_(std::move(table)), ctx_(ctx) {}
 
 std::string TableScanNode::detail() const { return table_->name(); }
 
@@ -382,9 +381,24 @@ int64_t TableScanNode::EstimatedRowCount() const {
   return static_cast<int64_t>(table_->num_rows());
 }
 
+void TableScanNode::AppendExtraCounters(
+    std::vector<std::pair<std::string, int64_t>>* out) const {
+  if (imaged_) out->emplace_back("est_bytes", image_.ByteSize());
+}
+
 Status TableScanNode::OpenImpl() {
   pos_ = 0;
   snapshot_size_ = table_->num_rows();
+  image_ = ColumnSet();
+  imaged_ = ctx_->memory_limit < 0;
+  if (!imaged_) return Status::OK();
+  std::shared_ptr<const ColumnarTable> columnar = table_->Columnar();
+  for (const ColumnVector& column : columnar->columns) {
+    // Aliasing pointers: each keeps the whole image alive.
+    image_.columns.emplace_back(columnar, &column);
+  }
+  // The image of the version just snapshotted: the same rows.
+  image_.rows = snapshot_size_ = columnar->num_rows;
   return Status::OK();
 }
 
@@ -396,7 +410,11 @@ Result<bool> TableScanNode::NextImpl(Row* out) {
 
 Status TableScanNode::EvaluateBatchImpl(size_t begin, size_t end,
                                         Batch* out) {
-  EncodeRowsBatch(schema_, table_->rows(), begin, end, out);
+  if (imaged_) {
+    image_.Serve(begin, end, out);
+  } else {
+    EncodeRowsBatch(schema_, table_->rows(), begin, end, out);
+  }
   return Status::OK();
 }
 
@@ -591,10 +609,30 @@ FilterNode::FilterNode(ExecNodePtr child, ExprPtr predicate, ExecContext* ctx)
 
 std::string FilterNode::detail() const { return predicate_->ToSql(); }
 
+void FilterNode::AppendExtraCounters(
+    std::vector<std::pair<std::string, int64_t>>* out) const {
+  if (!batched_) return;
+  const int64_t scanned = scanned_.load(std::memory_order_relaxed);
+  const int64_t selected = selected_.load(std::memory_order_relaxed);
+  out->emplace_back("sel_vector_density",
+                    scanned > 0 ? 100 * selected / scanned : 0);
+}
+
 Status FilterNode::OpenImpl() {
   MR_RETURN_IF_ERROR(child_->Open());
+  scanned_.store(0, std::memory_order_relaxed);
+  selected_.store(0, std::memory_order_relaxed);
+  compiled_at_open_ = use_kernels_ = false;
   batched_ = UnaryBatched(*ctx_, *child_, pure_);
-  if (batched_) return input_.Attach(child_.get(), ctx_->num_threads);
+  if (!batched_) return Status::OK();
+  MR_RETURN_IF_ERROR(input_.Attach(child_.get(), ctx_->num_threads));
+  // Batches that all carry the same columns get the kernels compiled here,
+  // once; the batches then only read them, from any worker.
+  const ColumnRow::Columns* columns = input_.SharedColumns();
+  if (ctx_->memory_limit < 0 && columns != nullptr) {
+    compiled_at_open_ = true;
+    use_kernels_ = kernels_.Compile(*predicate_, *columns);
+  }
   return Status::OK();
 }
 
@@ -612,22 +650,33 @@ Result<bool> FilterNode::NextImpl(Row* out) {
 
 Status FilterNode::EvaluateBatchImpl(size_t begin, size_t end, Batch* out) {
   MR_RETURN_IF_ERROR(input_.Run(begin, end, out));
-  // The scan-fused filter's kernels, compiled against this batch's columns
-  // (a filter over a view or subquery sees the columns its plan passes
-  // through); other predicates are evaluated per selected row in place.
-  FilterKernels kernels;
-  if (ctx_->memory_limit < 0 && kernels.Compile(*predicate_, out->columns)) {
-    kernels.Apply(&out->sel);
-    return Status::OK();
+  std::vector<uint32_t>& sel = out->sel;
+  scanned_.fetch_add(static_cast<int64_t>(sel.size()),
+                     std::memory_order_relaxed);
+  // Columns that differ per batch (drained rows, computed projections,
+  // joins) compile kernels against each batch's own.
+  FilterKernels local;
+  const FilterKernels* kernels = nullptr;
+  if (compiled_at_open_) {
+    if (use_kernels_) kernels = &kernels_;
+  } else if (ctx_->memory_limit < 0 &&
+             local.Compile(*predicate_, out->columns)) {
+    kernels = &local;
   }
-  size_t kept = 0;
-  for (uint32_t row : out->sel) {
-    MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_,
-                                                 ColumnRow{out->columns, row},
-                                                 ctx_));
-    if (pass) out->sel[kept++] = row;
+  if (kernels != nullptr) {
+    kernels->Apply(&sel);
+  } else {
+    size_t kept = 0;
+    for (uint32_t row : sel) {
+      MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_,
+                                                   ColumnRow{out->columns, row},
+                                                   ctx_));
+      if (pass) sel[kept++] = row;
+    }
+    sel.resize(kept);
   }
-  out->sel.resize(kept);
+  selected_.fetch_add(static_cast<int64_t>(sel.size()),
+                      std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -649,8 +698,22 @@ std::string ProjectNode::detail() const { return JoinExprs(exprs_, ", "); }
 
 Status ProjectNode::OpenImpl() {
   MR_RETURN_IF_ERROR(child_->Open());
+  shared_.clear();
   batched_ = UnaryBatched(*ctx_, *child_, pure_);
-  if (batched_) return input_.Attach(child_.get(), ctx_->num_threads);
+  if (!batched_) return Status::OK();
+  MR_RETURN_IF_ERROR(input_.Attach(child_.get(), ctx_->num_threads));
+  // A pure column pick of shared columns shares them too (EvalBatchExprs
+  // passes referenced columns through).
+  const ColumnRow::Columns* in = input_.SharedColumns();
+  if (in == nullptr) return Status::OK();
+  for (const ExprPtr& e : exprs_) {
+    const int source = DirectColumn(*e);
+    if (source < 0 || static_cast<size_t>(source) >= in->size()) {
+      shared_.clear();
+      return Status::OK();
+    }
+    shared_.push_back((*in)[source]);
+  }
   return Status::OK();
 }
 

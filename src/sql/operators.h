@@ -18,6 +18,7 @@
 #include "sql/ast.h"
 #include "sql/expr_eval.h"
 #include "sql/key_index.h"
+#include "sql/vectorized.h"
 
 namespace minerule::sql {
 
@@ -98,6 +99,16 @@ struct Batch {
 void EncodeRowsBatch(const Schema& schema, const std::vector<Row>& rows,
                      size_t begin, size_t end, Batch* out);
 
+/// Columns served as batches over row ranges: a scan's table image, or the
+/// columns a pipeline breaker materialized as its output.
+struct ColumnSet {
+  std::vector<std::shared_ptr<const ColumnVector>> columns;
+  size_t rows = 0;
+
+  void Serve(size_t begin, size_t end, Batch* out) const;
+  int64_t ByteSize() const;
+};
+
 /// Base class of the executor nodes. A node's output schema is fixed at
 /// construction. It produces its rows one of two ways, chosen at Open():
 ///
@@ -117,8 +128,8 @@ void EncodeRowsBatch(const Schema& schema, const std::vector<Row>& rows,
 ///   Next() on a pipelined batch operator (Filter, Project, HashJoin)
 ///   streams its input row by row and evaluates nothing ahead of the row
 ///   it returns (a LIMIT above stops NEXTVAL and errors where the rows
-///   stop); on a scan or a pipeline breaker it reads the node's own batches
-///   in order.
+///   stop); a scan reads its table's rows, and a pipeline breaker reads
+///   its own batches in order.
 ///
 /// The public wrappers count produced rows (always — a branch and an
 /// increment) and, when timing is enabled via EnableTimingTree, accumulate
@@ -184,6 +195,13 @@ class ExecNode {
     if (status.ok()) CountBatch(static_cast<int64_t>(out->size()));
     return status;
   }
+
+  /// The columns every batch of this node carries, when all its batches
+  /// share one column set (a scan's table image, a pipeline breaker's
+  /// output, and the operators that pass those through); null when batches
+  /// build their own columns. Valid after Open(). A filter above compiles
+  /// its kernels once against these.
+  virtual const ColumnRow::Columns* SharedColumns() const { return nullptr; }
 
   /// True when executing this subtree has no observable side effects — no
   /// NEXTVAL anywhere in its expressions. Plan-static (valid before Open).
@@ -376,6 +394,11 @@ class BatchInput {
                  const std::function<Status(size_t, Batch*)>& fn) const;
   /// Whether morsels may run concurrently.
   bool parallel_safe() const { return drained_ || node_->SideEffectFree(); }
+  /// The child's shared columns; null for drained rows, which are encoded
+  /// per morsel.
+  const ColumnRow::Columns* SharedColumns() const {
+    return drained_ || node_ == nullptr ? nullptr : node_->SharedColumns();
+  }
   void RecordParallelWorkers(int workers) const {
     if (node_ != nullptr && !drained_) node_->RecordParallelWorkers(workers);
   }
@@ -401,20 +424,28 @@ std::vector<OperatorProfile> FlattenPlanProfile(ExecNode* root);
 /// it the output is fully deterministic (golden-testable).
 std::vector<std::string> RenderPlan(ExecNode* root, bool analyze);
 
-/// Full scan over a catalog table, the scan of budgeted plans. The row
-/// count is snapshotted at Open() so `INSERT INTO t SELECT ... FROM t`
-/// terminates. Its batches encode each morsel's rows on the fly, so the
-/// unary batch operators above it run in parallel without a cached image;
-/// a serial budgeted plan reads its rows through Next().
+/// Full scan over a catalog table. The row count is snapshotted at Open()
+/// so `INSERT INTO t SELECT ... FROM t` terminates, and Next() reads the
+/// row store. Unbudgeted, its batches borrow the columns of the table's
+/// cached columnar image (relational/column.h) and select the morsel's
+/// rows, copying nothing. Under a memory budget the image, which has no
+/// budget story, is never built: each batch encodes its morsel's rows, so
+/// the unary batch operators above run in parallel, and a serial budgeted
+/// plan reads rows through Next().
 class TableScanNode : public ExecNode {
  public:
-  explicit TableScanNode(std::shared_ptr<Table> table);
+  TableScanNode(std::shared_ptr<Table> table, ExecContext* ctx);
   const char* name() const override { return "TableScan"; }
   std::string detail() const override;
   bool ProducesBatches() const override { return true; }
   size_t MorselInputRows() const override { return snapshot_size_; }
+  const ColumnRow::Columns* SharedColumns() const override {
+    return imaged_ ? &image_.columns : nullptr;
+  }
   bool SideEffectFree() const override { return true; }
   int64_t EstimatedRowCount() const override;
+  void AppendExtraCounters(
+      std::vector<std::pair<std::string, int64_t>>* out) const override;
 
  protected:
   Status OpenImpl() override;
@@ -423,8 +454,11 @@ class TableScanNode : public ExecNode {
 
  private:
   std::shared_ptr<Table> table_;
+  ExecContext* ctx_;
   size_t pos_ = 0;
   size_t snapshot_size_ = 0;
+  bool imaged_ = false;  // unbudgeted: batches serve image_
+  ColumnSet image_;      // the image's columns, shared into every batch
 };
 
 /// Emits a fixed in-memory row set (subquery materialization, VALUES,
@@ -467,10 +501,11 @@ class SystemScanNode : public RowsNode {
 };
 
 /// WHERE / HAVING filter. On batches it shortens the child batch's
-/// selection vector: unbudgeted through the scan filter's comparison
-/// kernels compiled against the batch's columns when the predicate allows,
-/// else (and always under a budget, whose rows are the reference the
-/// kernels are checked against) by evaluating the predicate per selected
+/// selection vector. Unbudgeted, a predicate of <column> <cmp> <literal>
+/// conjuncts runs as FilterKernels, compiled once at Open() when the
+/// input's batches share one column set and per batch otherwise; any other
+/// predicate, and every predicate under a budget (whose rows are the
+/// reference the kernels are checked against), is evaluated per selected
 /// row in place. On the row path it filters the child's Next() rows.
 class FilterNode : public ExecNode {
  public:
@@ -480,6 +515,9 @@ class FilterNode : public ExecNode {
   std::vector<ExecNode*> children() override { return {child_.get()}; }
   bool ProducesBatches() const override { return batched_; }
   size_t MorselInputRows() const override { return input_.rows(); }
+  const ColumnRow::Columns* SharedColumns() const override {
+    return batched_ ? input_.SharedColumns() : nullptr;
+  }
   bool SideEffectFree() const override {
     return pure_ && child_->SideEffectFree();
   }
@@ -490,6 +528,8 @@ class FilterNode : public ExecNode {
     NoteWorkers(workers);
     input_.RecordParallelWorkers(workers);
   }
+  void AppendExtraCounters(
+      std::vector<std::pair<std::string, int64_t>>* out) const override;
 
  protected:
   Status OpenImpl() override;
@@ -503,6 +543,14 @@ class FilterNode : public ExecNode {
   bool pure_ = false;  // predicate free of NEXTVAL
   bool batched_ = false;  // decided at Open()
   BatchInput input_;
+  // Compiled at Open() against the input's shared columns
+  // (`compiled_at_open_`); `use_kernels_` when the predicate compiled.
+  FilterKernels kernels_;
+  bool compiled_at_open_ = false;
+  bool use_kernels_ = false;
+  // Rows entering and leaving the selection vectors.
+  std::atomic<int64_t> scanned_{0};
+  std::atomic<int64_t> selected_{0};
 };
 
 /// SELECT-list projection (expressions already bound / rewritten). On
@@ -524,6 +572,9 @@ class ProjectNode : public ExecNode {
   int64_t EstimatedRowCount() const override {
     return child_->EstimatedRowCount();  // exact: projection is 1:1
   }
+  const ColumnRow::Columns* SharedColumns() const override {
+    return shared_.empty() ? nullptr : &shared_;
+  }
   void RecordParallelWorkers(int workers) override {
     NoteWorkers(workers);
     input_.RecordParallelWorkers(workers);
@@ -542,6 +593,9 @@ class ProjectNode : public ExecNode {
   bool pure_ = false;  // all projections free of NEXTVAL
   bool batched_ = false;  // decided at Open()
   BatchInput input_;
+  // Set at Open() when every expression references a column of an input
+  // with shared columns: the columns every output batch then picks.
+  ColumnRow::Columns shared_;
 };
 
 /// Appends the 0-based source row index as a trailing INTEGER column
@@ -796,16 +850,6 @@ struct AggSpec {
   ExprPtr arg;  // bound against the child schema; null for COUNT(*)
 };
 
-/// Columns an operator materialized — a pipeline breaker's output — served
-/// as batches over row ranges.
-struct ColumnSet {
-  std::vector<std::shared_ptr<const ColumnVector>> columns;
-  size_t rows = 0;
-
-  void Serve(size_t begin, size_t end, Batch* out) const;
-  int64_t ByteSize() const;
-};
-
 /// GROUP BY via hashing. Output row layout: group expressions first, then
 /// aggregate results, matching the slot rewriting done by the planner.
 /// With no group expressions it emits exactly one row (global aggregate),
@@ -832,6 +876,9 @@ class HashAggregateNode : public ExecNode {
   std::vector<ExecNode*> children() override { return {child_.get()}; }
   bool ProducesBatches() const override { return batched_; }
   size_t MorselInputRows() const override { return output_.rows; }
+  const ColumnRow::Columns* SharedColumns() const override {
+    return batched_ ? &output_.columns : nullptr;
+  }
   bool SideEffectFree() const override {
     return pure_ && child_->SideEffectFree();
   }
@@ -913,6 +960,9 @@ class DistinctNode : public ExecNode {
   std::vector<ExecNode*> children() override { return {child_.get()}; }
   bool ProducesBatches() const override { return batched_; }
   size_t MorselInputRows() const override { return output_.rows; }
+  const ColumnRow::Columns* SharedColumns() const override {
+    return batched_ ? &output_.columns : nullptr;
+  }
   bool SideEffectFree() const override { return child_->SideEffectFree(); }
   void AppendExtraCounters(
       std::vector<std::pair<std::string, int64_t>>* out) const override;

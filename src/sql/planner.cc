@@ -10,7 +10,6 @@
 #include "sql/parser.h"
 #include "sql/statistics.h"
 #include "sql/system_tables.h"
-#include "sql/vectorized.h"
 
 namespace minerule::sql {
 
@@ -356,8 +355,8 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanTableRef(TableRef* ref,
     for (const Column& col : table->schema().columns()) {
       scope.Add(ref->alias, col.name, col.type);
     }
-    return std::make_pair(MakeScanNode(std::move(table), ctx_),
-                          std::move(scope));
+    ExecNodePtr scan = std::make_unique<TableScanNode>(std::move(table), ctx_);
+    return std::make_pair(std::move(scan), std::move(scope));
   }
   if (catalog_->HasView(ref->name)) {
     MR_ASSIGN_OR_RETURN(ViewDef view, catalog_->GetView(ref->name));
@@ -489,7 +488,8 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::BuildLeftDeep(
       });
   auto filter = [&](ExecNodePtr* node, ExprPtr pred) {
     if (pred == nullptr) return;
-    *node = MakeFilterNode(std::move(*node), std::move(pred), ctx_);
+    *node = std::make_unique<FilterNode>(std::move(*node), std::move(pred),
+                                         ctx_);
     if (hooks.placed) hooks.placed(node->get(), false);
   };
 
@@ -857,7 +857,8 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
       applied[c] = true;
     }
     if (ExprPtr pred = AndTogether(std::move(ready))) {
-      node = MakeFilterNode(std::move(node), std::move(pred), ctx_);
+      node = std::make_unique<FilterNode>(std::move(node), std::move(pred),
+                                          ctx_);
     }
     node->SetPlanEstimates(eff_rows[i], raw_rows[i]);
     if (collect_feedback) {

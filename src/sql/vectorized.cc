@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "relational/date.h"
-#include "sql/binder.h"
 
 namespace minerule::sql {
 
@@ -86,69 +85,6 @@ void CollectConjuncts(const Expr& e, std::vector<const Expr*>* out) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// VecScanNode
-// ---------------------------------------------------------------------------
-
-VecScanNode::VecScanNode(std::shared_ptr<Table> table)
-    : ExecNode(table->schema()), table_(std::move(table)) {}
-
-std::string VecScanNode::detail() const { return table_->name(); }
-
-int64_t VecScanNode::EstimatedRowCount() const {
-  return static_cast<int64_t>(table_->num_rows());
-}
-
-void VecScanNode::AppendExtraCounters(
-    std::vector<std::pair<std::string, int64_t>>* out) const {
-  out->emplace_back("est_bytes", bytes_);
-}
-
-Status VecScanNode::OpenImpl() {
-  columnar_ = table_->Columnar();
-  image_.rows = columnar_->num_rows;
-  image_.columns.clear();
-  for (const ColumnVector& column : columnar_->columns) {
-    // Aliasing pointers: each keeps the whole image alive.
-    image_.columns.emplace_back(columnar_, &column);
-  }
-  bytes_ = columnar_->ByteSize();
-  pos_ = 0;
-  return Status::OK();
-}
-
-Result<bool> VecScanNode::NextImpl(Row* out) {
-  if (pos_ >= image_.rows) return false;
-  columnar_->MaterializeRow(pos_++, out);
-  return true;
-}
-
-Status VecScanNode::EvaluateBatchImpl(size_t begin, size_t end, Batch* out) {
-  image_.Serve(begin, end, out);
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// VecFilterNode
-// ---------------------------------------------------------------------------
-
-VecFilterNode::VecFilterNode(std::unique_ptr<VecScanNode> scan,
-                             ExprPtr predicate, ExecContext* ctx)
-    : ExecNode(scan->schema()),
-      scan_(std::move(scan)),
-      predicate_(std::move(predicate)),
-      ctx_(ctx) {}
-
-std::string VecFilterNode::detail() const { return predicate_->ToSql(); }
-
-void VecFilterNode::AppendExtraCounters(
-    std::vector<std::pair<std::string, int64_t>>* out) const {
-  const int64_t scanned = scanned_.load(std::memory_order_relaxed);
-  const int64_t selected = selected_.load(std::memory_order_relaxed);
-  out->emplace_back("sel_vector_density",
-                    scanned > 0 ? 100 * selected / scanned : 0);
-}
 
 bool FilterKernels::Kernel::Matches(size_t i) const {
   if (col->IsNull(i)) return false;  // NULL comparison -> NULL -> reject
@@ -313,62 +249,6 @@ void FilterKernels::Apply(std::vector<uint32_t>* sel) const {
     sel->resize(kept);
     if (sel->empty()) return;
   }
-}
-
-Status VecFilterNode::OpenImpl() {
-  MR_RETURN_IF_ERROR(scan_->Open());
-  scanned_.store(0, std::memory_order_relaxed);
-  selected_.store(0, std::memory_order_relaxed);
-  use_kernels_ = kernels_.Compile(*predicate_, scan_->columns());
-  return Status::OK();
-}
-
-Result<bool> VecFilterNode::NextImpl(Row* out) { return NextFromBatches(out); }
-
-Status VecFilterNode::EvaluateBatchImpl(size_t begin, size_t end, Batch* out) {
-  MR_RETURN_IF_ERROR(scan_->RunBatch(begin, end, out));
-  std::vector<uint32_t>& sel = out->sel;
-  scanned_.fetch_add(static_cast<int64_t>(sel.size()),
-                     std::memory_order_relaxed);
-  if (use_kernels_) {
-    kernels_.Apply(&sel);
-  } else {
-    size_t kept = 0;
-    for (uint32_t i : sel) {
-      MR_ASSIGN_OR_RETURN(bool keep, EvalPredicate(*predicate_,
-                                                   ColumnRow{out->columns, i},
-                                                   ctx_));
-      if (keep) sel[kept++] = i;
-    }
-    sel.resize(kept);
-  }
-  selected_.fetch_add(static_cast<int64_t>(sel.size()),
-                      std::memory_order_relaxed);
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Factories
-// ---------------------------------------------------------------------------
-
-ExecNodePtr MakeScanNode(std::shared_ptr<Table> table, ExecContext* ctx) {
-  if (ctx->vectorized) {
-    return std::make_unique<VecScanNode>(std::move(table));
-  }
-  return std::make_unique<TableScanNode>(std::move(table));
-}
-
-ExecNodePtr MakeFilterNode(ExecNodePtr child, ExprPtr predicate,
-                           ExecContext* ctx) {
-  if (dynamic_cast<VecScanNode*>(child.get()) != nullptr &&
-      !ContainsNextVal(*predicate)) {
-    std::unique_ptr<VecScanNode> scan(
-        static_cast<VecScanNode*>(child.release()));
-    return std::make_unique<VecFilterNode>(std::move(scan),
-                                           std::move(predicate), ctx);
-  }
-  return std::make_unique<FilterNode>(std::move(child), std::move(predicate),
-                                      ctx);
 }
 
 }  // namespace minerule::sql

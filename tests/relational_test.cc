@@ -224,13 +224,12 @@ TEST(ColumnarTest, TypedEncodingsRoundTrip) {
   EXPECT_EQ(ct->columns[3].encoding(), ColumnEncoding::kInt64);
   EXPECT_EQ(ct->columns[4].encoding(), ColumnEncoding::kInt64);
   EXPECT_EQ(ct->columns[2].dictionary().size(), 5u);
-  Row out;
+  ASSERT_EQ(ct->columns.size(), schema.num_columns());
   for (size_t i = 0; i < rows.size(); ++i) {
-    ct->MaterializeRow(i, &out);
-    ASSERT_EQ(out.size(), rows[i].size());
-    for (size_t c = 0; c < out.size(); ++c) {
-      EXPECT_EQ(out[c].ToString(), rows[i][c].ToString()) << i << "," << c;
-      EXPECT_EQ(out[c].type(), rows[i][c].type()) << i << "," << c;
+    for (size_t c = 0; c < ct->columns.size(); ++c) {
+      const Value out = ct->columns[c].GetValue(i);
+      EXPECT_EQ(out.ToString(), rows[i][c].ToString()) << i << "," << c;
+      EXPECT_EQ(out.type(), rows[i][c].type()) << i << "," << c;
     }
   }
 }

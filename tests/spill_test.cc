@@ -2,9 +2,10 @@
 // (DESIGN.md §13): every query must produce BIT-identical results — same
 // rows in the same order, or the same error — with the budget off, at a
 // budget of zero (everything spills), one byte, and a mid-sized budget, at
-// every thread count. The unbudgeted baseline scans and filters columnar
-// while any budget keeps the row scan/filter (DESIGN.md §12), so every
-// comparison here is also columnar against row. Also covers the spill
+// every thread count. The unbudgeted baseline runs batches over the scans'
+// columnar images while any budget keeps the images unbuilt and a serial
+// plan on rows (DESIGN.md §12), so every comparison here is also columnar
+// against row. Also covers the spill
 // observability counters, the MINERULE_MEMORY_LIMIT seeding,
 // MiningOptions::memory_limit plumbing, the all-NULL-build-key estimate,
 // error propagation mid-spill, and the no-leaked-temp-files guarantee.

@@ -272,8 +272,9 @@ TEST_F(ParallelCountersTest, WorkersAndMorselsSurfaceInAnalyzeProfile) {
          Value::Integer(static_cast<int64_t>(i))});
   }
 
-  // The row TableScan/Filter, which a memory budget selects (one that
-  // never spills here), are both morsel sources.
+  // Under a memory budget (one that never spills here) the TableScan
+  // encodes each morsel's rows, and it and the Filter are both morsel
+  // sources.
   engine_.set_memory_limit(std::numeric_limits<int64_t>::max());
   engine_.set_num_threads(8);
   auto result =
@@ -304,24 +305,25 @@ TEST_F(ParallelCountersTest, WorkersAndMorselsSurfaceInAnalyzeProfile) {
   ASSERT_NE(serial_scan, nullptr);
   EXPECT_EQ(Counter(*serial_scan, "morsels"), -1);
 
-  // Unbudgeted, the fused VecFilter is the morsel source and its VecScan
-  // accounts every row it read from the columns.
+  // Unbudgeted, the same Filter is the morsel source over the scan's
+  // columnar image, and the TableScan accounts every row it served.
   engine_.set_memory_limit(-1);
   engine_.set_num_threads(8);
   auto columnar =
       engine_.Execute("EXPLAIN ANALYZE SELECT v FROM T WHERE v >= 1000");
   ASSERT_TRUE(columnar.ok()) << columnar.status();
-  const sql::OperatorProfile* vec_filter =
-      FindOp(columnar.value().profile, "VecFilter");
-  ASSERT_NE(vec_filter, nullptr);
-  EXPECT_EQ(vec_filter->rows, static_cast<int64_t>(kRows - 1000));
-  EXPECT_EQ(Counter(*vec_filter, "morsels"),
+  const sql::OperatorProfile* columnar_filter =
+      FindOp(columnar.value().profile, "Filter");
+  ASSERT_NE(columnar_filter, nullptr);
+  EXPECT_EQ(columnar_filter->rows, static_cast<int64_t>(kRows - 1000));
+  EXPECT_EQ(Counter(*columnar_filter, "morsels"),
             static_cast<int64_t>(MorselCount(kRows, sql::kMorselRows)));
-  EXPECT_GE(Counter(*vec_filter, "workers"), 1);
-  const sql::OperatorProfile* vec_scan =
-      FindOp(columnar.value().profile, "VecScan");
-  ASSERT_NE(vec_scan, nullptr);
-  EXPECT_EQ(vec_scan->rows, static_cast<int64_t>(kRows));
+  EXPECT_GE(Counter(*columnar_filter, "workers"), 1);
+  const sql::OperatorProfile* columnar_scan =
+      FindOp(columnar.value().profile, "TableScan");
+  ASSERT_NE(columnar_scan, nullptr);
+  EXPECT_EQ(columnar_scan->rows, static_cast<int64_t>(kRows));
+  EXPECT_GT(Counter(*columnar_scan, "est_bytes"), 0);
   engine_.set_num_threads(1);
 }
 
@@ -348,10 +350,10 @@ TEST_F(ParallelCountersTest, EmptyBuildSkipsProbeSideScan) {
     ASSERT_NE(join, nullptr);
     EXPECT_EQ(join->rows, 0);
     EXPECT_EQ(Counter(*join, "probe_skipped"), 1) << threads << " threads";
-    // The probe-side scan (the first VecScan in plan order) never ran: no
-    // rows pulled.
+    // The probe-side scan (the first TableScan in plan order) never ran:
+    // no rows pulled.
     const sql::OperatorProfile* scan =
-        FindOp(result.value().profile, "VecScan");
+        FindOp(result.value().profile, "TableScan");
     ASSERT_NE(scan, nullptr);
     EXPECT_EQ(scan->rows, 0);
   }

@@ -1,11 +1,12 @@
 // Differential tests of the columnar scan path (DESIGN.md §12): every query
 // must produce BIT-identical results — same rows in the same order, or the
-// same error — on the default columnar scan/filter and on the row
-// TableScan/Filter, at every thread count. The row path is the reference;
+// same error — on the default batches over the scans' columnar images and
+// on the row path, where the same TableScan/Filter run on rows, at every
+// thread count. The row path is the reference;
 // an explicit memory budget that never spills selects it (the one selection
 // rule), and both sides set their budget explicitly so MINERULE_MEMORY_LIMIT
 // in the environment never changes what is compared. Covers the
-// Q0..Q11-shaped SELECT surface (fused scan+filter, hash join over columnar
+// Q0..Q11-shaped SELECT surface (scan+filter, hash join over columnar
 // inputs with probe skip, aggregation, DISTINCT, ORDER BY, HAVING, LIMIT,
 // subqueries), every filter-kernel kind (int/int, int/double, double/double,
 // dictionary, constant verdicts) plus the row-path fallbacks, randomized
@@ -313,8 +314,8 @@ TEST_P(VectorizedDifferentialTest, RandomizedQueriesBitIdentical) {
 
 TEST_P(VectorizedDifferentialTest, MemoryBudgetDisablesVectorizedSubstitution) {
   GenerateTables(GetParam());
-  // The columnar scan/filter has no spill story, so a budget keeps the row
-  // scan/filter feeding the spill operators (DESIGN.md §13); with every
+  // The columnar image has no spill story, so under a budget the scan never
+  // builds it and the spill operators read rows (DESIGN.md §13); with every
   // working set spilled, results must still match the columnar baseline
   // bit for bit.
   const char* queries[] = {
@@ -659,6 +660,38 @@ TEST_P(BatchDifferentialTest, LimitEvaluatesOnlyTheRowsItTakes) {
   }
   engine_.set_memory_limit(kColumnar);
   engine_.set_num_threads(1);
+}
+
+// Filters over inputs of more than one morsel whose batches either share
+// the scan's columns — a view that passes them through, compiled once — or
+// bring their own per batch — a drained Sort or LIMIT subquery, whose
+// morsels are encoded afresh (each string column with its own dictionary),
+// compiled per batch. Kernels compiled for one batch's columns and applied
+// to another's would select the wrong rows.
+TEST_P(BatchDifferentialTest, FilterKernelsOverViewsAndDrainedInputs) {
+  GenerateTables(GetParam());
+  ASSERT_TRUE(engine_.Execute("CREATE VIEW PV AS (SELECT s, id, k, d, dt "
+                              "FROM P)")
+                  .ok());
+  const char* queries[] = {
+      // (a) A view whose Project passes the scan's columns through.
+      "SELECT PV.id, PV.s FROM PV WHERE PV.s = 's3'",
+      "SELECT PV.id, PV.k FROM PV WHERE PV.k > 60 AND PV.d < 100.5",
+      "SELECT PV.id FROM PV WHERE PV.s >= 's2' AND PV.k <> 7 "
+      "AND PV.dt < '1994-10-15'",
+      "SELECT Q.name, PV.id FROM Q, PV WHERE Q.k = PV.k AND PV.s <> 's4' "
+      "AND PV.d >= 20",
+      // (b) A drained Sort or LIMIT subquery.
+      "SELECT S.id, S.s FROM (SELECT id, k, s, d FROM P ORDER BY k, id) AS S "
+      "WHERE S.s = 's5' AND S.k > 10",
+      "SELECT S.id FROM (SELECT id, k, s, d FROM P ORDER BY s, id) AS S "
+      "WHERE S.s < 's2' OR S.d > 150",
+      "SELECT L.id, L.d FROM (SELECT id, d, s FROM P ORDER BY d, id "
+      "LIMIT 2000) AS L WHERE L.d >= 50 AND L.s <> 's1'",
+      "SELECT L.id FROM (SELECT id, k, dt FROM P LIMIT 1900) AS L "
+      "WHERE L.k <= 40 AND L.dt >= '1994-09-01'",
+  };
+  for (const char* sql : queries) ExpectSame(sql);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferentialTest,
