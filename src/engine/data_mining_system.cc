@@ -24,6 +24,38 @@ Status NotAnInteger(size_t position) {
                           " is not an integer");
 }
 
+/// Appends rows row_at(0..count-1) of `columns` to *out, row-major. Plain
+/// int64 INTEGER columns without NULLs are copied; any other column is
+/// checked value by value, in row-major order like a scan of the rows, so
+/// the first value that is not an integer fails as it would there.
+template <typename RowAt>
+Status AppendIntegerRows(const std::vector<const ColumnVector*>& columns,
+                         size_t count, RowAt row_at,
+                         std::vector<int64_t>* out) {
+  std::vector<const std::vector<int64_t>*> ints(columns.size(), nullptr);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const ColumnVector& column = *columns[c];
+    if (column.encoding() == ColumnEncoding::kInt64 &&
+        column.declared_type() == DataType::kInteger &&
+        !column.nulls().AnyNull()) {
+      ints[c] = &column.ints();
+    }
+  }
+  for (size_t k = 0; k < count; ++k) {
+    const size_t row = row_at(k);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (ints[c] != nullptr) {
+        out->push_back((*ints[c])[row]);
+        continue;
+      }
+      const Value v = columns[c]->GetValue(row);
+      if (v.type() != DataType::kInteger) return NotAnInteger(c);
+      out->push_back(v.AsInteger());
+    }
+  }
+  return Status::OK();
+}
+
 /// Visits `relation` and, for a view, everything its SELECT reads, up to
 /// `depth` levels of views.
 void VisitSourceRelation(const Catalog& catalog, const std::string& relation,
@@ -227,8 +259,9 @@ Result<std::vector<int64_t>> DataMiningSystem::ReadEncoded(
     const std::string& relation, const std::vector<std::string>& columns) {
   // A view (the general class's DISTINCT CodedSourceB/H) is a query: the
   // engine runs it and hands over its batches' int64 columns. A base table
-  // is read in place, in row order, as the engine's scan would return it.
-  // Either way no result set is built in between.
+  // is read in place, in row order, as the engine's scan would return it:
+  // its columns of record when it is column-stored, else its rows. Either
+  // way no result set is built in between.
   std::vector<int64_t> values;
   if (catalog_->HasView(relation)) {
     MR_ASSIGN_OR_RETURN(sql::BatchResult result,
@@ -237,32 +270,15 @@ Result<std::vector<int64_t>> DataMiningSystem::ReadEncoded(
                                                    " FROM " + relation));
     size_t rows = 0;
     for (const sql::Batch& batch : result.batches) rows += batch.size();
-    values.resize(rows * columns.size());
-    const size_t width = columns.size();
-    std::vector<int64_t>::iterator out = values.begin();
+    values.reserve(rows * columns.size());
+    std::vector<const ColumnVector*> selected(columns.size());
     for (const sql::Batch& batch : result.batches) {
-      // Plain int64 columns are copied; any other column is checked value
-      // by value, in row-major order like a scan of the rows.
-      std::vector<const ColumnVector*> typed(width, nullptr);
-      for (size_t c = 0; c < width; ++c) {
-        const ColumnVector& column = *batch.columns[c];
-        if (column.encoding() == ColumnEncoding::kInt64 &&
-            column.declared_type() == DataType::kInteger &&
-            !column.nulls().AnyNull()) {
-          typed[c] = &column;
-        }
+      for (size_t c = 0; c < columns.size(); ++c) {
+        selected[c] = batch.columns[c].get();
       }
-      for (uint32_t row : batch.sel) {
-        for (size_t c = 0; c < width; ++c) {
-          if (typed[c] != nullptr) {
-            *out++ = typed[c]->ints()[row];
-            continue;
-          }
-          const Value v = batch.columns[c]->GetValue(row);
-          if (v.type() != DataType::kInteger) return NotAnInteger(c);
-          *out++ = v.AsInteger();
-        }
-      }
+      MR_RETURN_IF_ERROR(AppendIntegerRows(
+          selected, batch.size(), [&](size_t k) { return batch.sel[k]; },
+          &values));
     }
     return values;
   }
@@ -272,6 +288,15 @@ Result<std::vector<int64_t>> DataMiningSystem::ReadEncoded(
   for (const std::string& column : columns) {
     MR_ASSIGN_OR_RETURN(size_t index, table->schema().ResolveColumn(column));
     indices.push_back(index);
+  }
+  if (table->column_stored()) {
+    const std::shared_ptr<const ColumnarTable> stored = table->Columnar();
+    std::vector<const ColumnVector*> selected;
+    for (size_t index : indices) selected.push_back(&stored->columns[index]);
+    values.reserve(stored->num_rows * indices.size());
+    MR_RETURN_IF_ERROR(AppendIntegerRows(
+        selected, stored->num_rows, [](size_t k) { return k; }, &values));
+    return values;
   }
   const std::vector<Row>& rows = table->rows();
   values.reserve(rows.size() * indices.size());

@@ -295,6 +295,18 @@ std::shared_ptr<const ColumnarTable> ColumnarTable::FromRows(
   return out;
 }
 
+void ColumnarTable::AppendRows(std::vector<Row>* out) const {
+  out->reserve(out->size() + num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    Row row;
+    row.reserve(columns.size());
+    for (const ColumnVector& column : columns) {
+      row.push_back(column.GetValue(r));
+    }
+    out->push_back(std::move(row));
+  }
+}
+
 int64_t ColumnarTable::ByteSize() const {
   int64_t bytes = 0;
   for (const ColumnVector& col : columns) bytes += col.ByteSize();
@@ -330,6 +342,7 @@ std::shared_ptr<ColumnarCache> MakeColumnarCache() {
 }
 
 std::shared_ptr<const ColumnarTable> Table::Columnar() const {
+  if (storage_->columns != nullptr) return storage_->columns;
   return columnar_cache_->Get(*this);
 }
 

@@ -134,6 +134,9 @@ struct ColumnarTable {
   static std::shared_ptr<const ColumnarTable> FromRows(
       const Schema& schema, const std::vector<Row>& rows);
 
+  /// Appends the rows, in order, as Rows of GetValue()s.
+  void AppendRows(std::vector<Row>* out) const;
+
   int64_t ByteSize() const;
 };
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <sstream>
 
+#include "common/metrics.h"
+
 namespace minerule {
 
 uint64_t NextTableVersion() {
@@ -45,25 +47,61 @@ Status Table::Append(Row row) {
                                     schema_.column(i).name));
   }
   Detach();
-  rows_->push_back(std::move(row));
+  storage_->rows.push_back(std::move(row));
   version_ = NextTableVersion();
   return Status::OK();
 }
 
+void Table::BuildRows() const {
+  Storage& storage = *storage_;
+  std::call_once(storage.rows_built,
+                 [&storage] { storage.columns->AppendRows(&storage.rows); });
+}
+
+bool Table::StoreColumns(std::shared_ptr<const ColumnarTable> columns) {
+  if (num_rows() != 0 || columns->columns.size() != schema_.num_columns()) {
+    return false;
+  }
+  for (size_t c = 0; c < schema_.num_columns(); ++c) {
+    const ColumnVector& column = columns->columns[c];
+    if (column.encoding() == ColumnEncoding::kGeneric ||
+        column.declared_type() != schema_.column(c).type ||
+        column.size() != columns->num_rows) {
+      return false;
+    }
+  }
+  GlobalMetrics()
+      .GetGauge("relational.columnar_peak_bytes")
+      ->UpdateMax(columns->ByteSize());
+  storage_ = std::make_shared<Storage>();
+  storage_->columns = std::move(columns);
+  columnar_cache_ = MakeColumnarCache();
+  version_ = NextTableVersion();
+  return true;
+}
+
 void Table::Clear() {
   // Fresh storage detaches without copying rows that are about to go.
-  rows_ = std::make_shared<std::vector<Row>>();
+  storage_ = std::make_shared<Storage>();
   columnar_cache_ = MakeColumnarCache();
   version_ = NextTableVersion();
   shape_version_ = version_;
 }
 
-void Table::CopyRows() {
-  // The copies keep the old storage and the image built from it; the
-  // columnar cache is keyed by version only, so a shared one would serve
-  // (and rebuild) images across the diverging copies.
-  rows_ = std::make_shared<std::vector<Row>>(*rows_);
-  columnar_cache_ = MakeColumnarCache();
+void Table::MaterializeRows() {
+  auto fresh = std::make_shared<Storage>();
+  if (storage_.use_count() == 1) {
+    // Private storage: its rows (built now if columns are stored) move.
+    rows();
+    fresh->rows = std::move(storage_->rows);
+  } else {
+    // The copies keep the old storage and the image built from it; the
+    // columnar cache is keyed by version only, so a shared one would serve
+    // (and rebuild) images across the diverging copies.
+    fresh->rows = rows();
+    columnar_cache_ = MakeColumnarCache();
+  }
+  storage_ = std::move(fresh);
 }
 
 std::string Table::ToDisplayString(size_t max_rows) const {
@@ -72,7 +110,7 @@ std::string Table::ToDisplayString(size_t max_rows) const {
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
     widths[c] = schema_.column(c).name.size();
   }
-  const std::vector<Row>& rows = *rows_;
+  const std::vector<Row>& rows = this->rows();
   const size_t shown = std::min(max_rows, rows.size());
   cells.reserve(shown);
   for (size_t r = 0; r < shown; ++r) {

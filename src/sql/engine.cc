@@ -11,6 +11,49 @@
 
 namespace minerule::sql {
 
+namespace {
+
+/// The INSERT sink's column path: every batch of the opened `root`, in
+/// morsel order, gathered column by column into the target's layout.
+/// Produced column i lands at positions[i]; every other column is all-NULL.
+Result<std::shared_ptr<const ColumnarTable>> GatherInsertColumns(
+    ExecNode* root, int num_threads, const Schema& schema,
+    const std::vector<size_t>& positions) {
+  std::vector<Batch> morsels(
+      MorselCount(root->MorselInputRows(), kMorselRows));
+  MR_RETURN_IF_ERROR(
+      ForEachBatch(root, num_threads, [&](size_t m, Batch* batch) {
+        morsels[m] = std::move(*batch);
+        return Status::OK();
+      }));
+  auto out = std::make_shared<ColumnarTable>();
+  out->schema = schema;
+  for (const Batch& batch : morsels) out->num_rows += batch.size();
+  out->columns.resize(schema.num_columns());
+  std::vector<bool> produced(schema.num_columns(), false);
+  std::vector<ColumnVector::Slice> slices;
+  for (size_t i = 0; i < positions.size(); ++i) {
+    slices.clear();
+    for (const Batch& batch : morsels) {
+      if (!batch.sel.empty()) {
+        slices.push_back({batch.columns[i].get(), batch.sel});
+      }
+    }
+    const size_t target = positions[i];
+    out->columns[target] =
+        ColumnVector::Gather(schema.column(target).type, slices);
+    produced[target] = true;
+  }
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    if (produced[c]) continue;
+    out->columns[c] = ColumnVector::FromValues(
+        schema.column(c).type, std::vector<Value>(out->num_rows));
+  }
+  return std::shared_ptr<const ColumnarTable>(std::move(out));
+}
+
+}  // namespace
+
 SqlEngine::SqlEngine(Catalog* catalog) : catalog_(catalog) {
   // MINERULE_MEMORY_LIMIT (bytes) seeds the operator memory budget so whole
   // test suites and benchmarks can be rerun under a tiny budget — forcing
@@ -227,6 +270,7 @@ Result<QueryResult> SqlEngine::ExecuteInsert(InsertStmt* stmt) {
   MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
                       catalog_->GetTable(stmt->table));
   const Schema& schema = table->schema();
+  int64_t inserted = 0;
 
   // Map provided columns to table positions.
   std::vector<size_t> positions;
@@ -241,9 +285,12 @@ Result<QueryResult> SqlEngine::ExecuteInsert(InsertStmt* stmt) {
   }
 
   // Rows laid out for the target: produced column i lands at positions[i],
-  // every other column is NULL. The sink is where a batch's rows become
-  // Rows, each built straight in target column order.
+  // every other column is NULL.
   const size_t width = schema.num_columns();
+  bool identity = positions.size() == width;
+  for (size_t i = 0; identity && i < positions.size(); ++i) {
+    identity = positions[i] == i;
+  }
   auto target_row = [&](auto&& value_of) {
     Row full(width, Value::Null());
     for (size_t i = 0; i < positions.size(); ++i) {
@@ -265,32 +312,32 @@ Result<QueryResult> SqlEngine::ExecuteInsert(InsertStmt* stmt) {
     }
     ExecNode* root = planned.node.get();
     MR_RETURN_IF_ERROR(root->Open());
-    if (root->ProducesBatches()) {
-      std::vector<std::vector<Row>> slots(
-          MorselCount(root->MorselInputRows(), kMorselRows));
-      MR_RETURN_IF_ERROR(ForEachBatch(
-          root, num_threads_, [&](size_t m, Batch* batch) {
-            slots[m].reserve(batch->size());
-            for (uint32_t row : batch->sel) {
-              slots[m].push_back(target_row([&](size_t i) {
-                return batch->columns[i]->GetValue(row);
-              }));
-            }
-            return Status::OK();
-          }));
-      size_t produced = 0;
-      for (const std::vector<Row>& slot : slots) produced += slot.size();
-      incoming.reserve(produced);
-      for (std::vector<Row>& slot : slots) {
-        for (Row& row : slot) incoming.push_back(std::move(row));
+    // An unbudgeted plan's batches into an empty table become its columns
+    // of record when every produced column already has its target's type,
+    // so the columns hold exactly what Append would store (DESIGN.md §12).
+    bool store_columns = memory_limit_ < 0 && table->num_rows() == 0 &&
+                         root->ProducesBatches();
+    for (size_t i = 0; store_columns && i < positions.size(); ++i) {
+      store_columns = planned.out_schema.column(i).type ==
+                      schema.column(positions[i]).type;
+    }
+    if (store_columns) {
+      MR_ASSIGN_OR_RETURN(
+          std::shared_ptr<const ColumnarTable> columns,
+          GatherInsertColumns(root, num_threads_, schema, positions));
+      if (columns->num_rows > 0 && table->StoreColumns(columns)) {
+        inserted = static_cast<int64_t>(columns->num_rows);
+      } else {
+        // No rows (the table keeps its version), or a column fell back to
+        // the generic encoding: the values go through Append like any row.
+        columns->AppendRows(&incoming);
       }
     } else {
-      std::vector<Row> rows;
-      MR_RETURN_IF_ERROR(DrainOpenedNode(root, num_threads_, &rows));
-      incoming.reserve(rows.size());
-      for (Row& in : rows) {
-        incoming.push_back(
-            target_row([&](size_t i) { return std::move(in[i]); }));
+      MR_RETURN_IF_ERROR(DrainOpenedNode(root, num_threads_, &incoming));
+      if (!identity) {
+        for (Row& in : incoming) {
+          in = target_row([&](size_t i) { return std::move(in[i]); });
+        }
       }
     }
     RecordFeedback(planned);
@@ -317,7 +364,6 @@ Result<QueryResult> SqlEngine::ExecuteInsert(InsertStmt* stmt) {
     }
   }
 
-  int64_t inserted = 0;
   for (Row& full : incoming) {
     MR_RETURN_IF_ERROR(table->Append(std::move(full)));
     ++inserted;

@@ -404,6 +404,15 @@ Status TableScanNode::OpenImpl() {
 
 Result<bool> TableScanNode::NextImpl(Row* out) {
   if (pos_ >= snapshot_size_) return false;
+  if (imaged_) {
+    // The image's row, so a column-stored table builds no rows for it.
+    out->clear();
+    for (const auto& column : image_.columns) {
+      out->push_back(column->GetValue(pos_));
+    }
+    ++pos_;
+    return true;
+  }
   *out = table_->row(pos_++);
   return true;
 }

@@ -425,13 +425,14 @@ std::vector<OperatorProfile> FlattenPlanProfile(ExecNode* root);
 std::vector<std::string> RenderPlan(ExecNode* root, bool analyze);
 
 /// Full scan over a catalog table. The row count is snapshotted at Open()
-/// so `INSERT INTO t SELECT ... FROM t` terminates, and Next() reads the
-/// row store. Unbudgeted, its batches borrow the columns of the table's
-/// cached columnar image (relational/column.h) and select the morsel's
-/// rows, copying nothing. Under a memory budget the image, which has no
-/// budget story, is never built: each batch encodes its morsel's rows, so
-/// the unary batch operators above run in parallel, and a serial budgeted
-/// plan reads rows through Next().
+/// so `INSERT INTO t SELECT ... FROM t` terminates. Unbudgeted, its batches
+/// borrow the columns of the table's columnar image (relational/column.h:
+/// a column-stored table's columns of record, else the cached image) and
+/// select the morsel's rows, copying nothing, and Next() reads the image.
+/// Under a memory budget the image, which has no budget story, is never
+/// built: each batch encodes its morsel's rows, so the unary batch
+/// operators above run in parallel, and a serial budgeted plan reads rows
+/// through Next().
 class TableScanNode : public ExecNode {
  public:
   TableScanNode(std::shared_ptr<Table> table, ExecContext* ctx);

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "relational/catalog.h"
 #include "relational/column.h"
 #include "relational/date.h"
@@ -418,6 +420,213 @@ TEST(TableCopyOnWriteTest, UnsharedTableMutatesInPlace) {
   table.Reserve(16);
   table.mutable_rows()[0][0] = Value::Integer(5);
   EXPECT_EQ(&table.rows(), storage);
+}
+
+// --- column-stored tables --------------------------------------------------
+
+/// A row-built table over every typed encoding, NULLs in each column, of
+/// more than two 1024-row morsels.
+Table RowBuiltTable() {
+  Table table("t", Schema({{"i", DataType::kInteger},
+                           {"d", DataType::kDouble},
+                           {"s", DataType::kString},
+                           {"dt", DataType::kDate},
+                           {"b", DataType::kBoolean}}));
+  for (int64_t r = 0; r < 2500; ++r) {
+    auto null_or = [&](int every, Value v) {
+      return r % every == 0 ? Value::Null() : std::move(v);
+    };
+    EXPECT_TRUE(table
+                    .Append({null_or(7, Value::Integer(r * 3 - 100)),
+                             null_or(11, Value::Double(r / 4.0)),
+                             null_or(13, Value::String("s" +
+                                                       std::to_string(r % 50))),
+                             null_or(17, Value::Date(
+                                             static_cast<int32_t>(9000 + r))),
+                             null_or(19, Value::Boolean(r % 3 == 0))})
+                    .ok());
+  }
+  return table;
+}
+
+/// The same contents with columns as the storage of record.
+Table ColumnStoredCopyOf(const Table& rows) {
+  Table table(rows.name(), rows.schema());
+  EXPECT_TRUE(
+      table.StoreColumns(ColumnarTable::FromRows(rows.schema(), rows.rows())));
+  return table;
+}
+
+std::vector<std::string> Render(const Table& table) {
+  std::vector<std::string> out;
+  for (const Row& row : table.rows()) {
+    std::string line;
+    for (const Value& v : row) {
+      line += v.ToString() + "/" +
+              std::to_string(static_cast<int>(v.type())) + "|";
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+TEST(ColumnStoredTableTest, ReadsLikeTheRowBuiltTable) {
+  const Table built = RowBuiltTable();
+  Gauge* peak = GlobalMetrics().GetGauge("relational.columnar_peak_bytes");
+  peak->Set(0);
+  const Table stored = ColumnStoredCopyOf(built);
+  ASSERT_TRUE(stored.column_stored());
+  const auto columns = stored.Columnar();
+  EXPECT_EQ(peak->Value(), columns->ByteSize());
+  // The columns of record are the image: nothing is built for it.
+  EXPECT_EQ(stored.Columnar().get(), columns.get());
+  EXPECT_EQ(stored.num_rows(), built.num_rows());
+
+  const uint64_t version = stored.version();
+  const uint64_t shape = stored.shape_version();
+  EXPECT_NE(version, shape);  // stored as appends into the empty table
+  EXPECT_EQ(Render(stored), Render(built));
+  for (size_t r : {size_t{0}, size_t{1023}, size_t{1024}, size_t{2499}}) {
+    SCOPED_TRACE(r);
+    ASSERT_EQ(stored.row(r).size(), built.row(r).size());
+    for (size_t c = 0; c < built.row(r).size(); ++c) {
+      EXPECT_EQ(stored.row(r)[c].type(), built.row(r)[c].type());
+      EXPECT_EQ(stored.row(r)[c].ToString(), built.row(r)[c].ToString());
+    }
+  }
+  // Reading the rows is not a mutation.
+  EXPECT_TRUE(stored.column_stored());
+  EXPECT_EQ(stored.version(), version);
+  EXPECT_EQ(stored.shape_version(), shape);
+  EXPECT_EQ(stored.Columnar().get(), columns.get());
+
+  const auto image = built.Columnar();
+  ASSERT_EQ(columns->columns.size(), image->columns.size());
+  for (size_t c = 0; c < image->columns.size(); ++c) {
+    EXPECT_EQ(columns->columns[c].encoding(), image->columns[c].encoding());
+    EXPECT_EQ(columns->columns[c].nulls().null_count(),
+              image->columns[c].nulls().null_count());
+  }
+}
+
+TEST(ColumnStoredTableTest, StoresOnlyWhatAppendWouldStore) {
+  const Schema schema({{"a", DataType::kInteger}, {"b", DataType::kDouble}});
+  const std::vector<Row> integers = {{Value::Integer(1), Value::Integer(2)}};
+  const std::vector<Row> doubles = {{Value::Integer(1), Value::Double(2)}};
+  // An INTEGER in the DOUBLE column encodes generic: Append would widen it.
+  Table widened("w", schema);
+  const uint64_t version = widened.version();
+  EXPECT_FALSE(widened.StoreColumns(ColumnarTable::FromRows(schema, integers)));
+  EXPECT_FALSE(widened.column_stored());
+  EXPECT_EQ(widened.version(), version);
+  EXPECT_EQ(widened.num_rows(), 0u);
+  // Columns declared under another schema's types.
+  const Schema swapped({{"a", DataType::kDouble}, {"b", DataType::kDouble}});
+  EXPECT_FALSE(widened.StoreColumns(ColumnarTable::FromRows(
+      swapped, {{Value::Double(1), Value::Double(2)}})));
+  EXPECT_TRUE(widened.StoreColumns(ColumnarTable::FromRows(schema, doubles)));
+  EXPECT_TRUE(widened.column_stored());
+  EXPECT_NE(widened.version(), version);
+  // A table with rows keeps them: columns would replace, not append.
+  const uint64_t stored = widened.version();
+  EXPECT_FALSE(widened.StoreColumns(ColumnarTable::FromRows(schema, doubles)));
+  EXPECT_EQ(widened.version(), stored);
+  EXPECT_EQ(widened.num_rows(), 1u);
+}
+
+struct Mutator {
+  const char* name;
+  std::function<void(Table*)> apply;
+};
+
+std::vector<Mutator> Mutators() {
+  const Row extra = {Value::Integer(42), Value::Null(), Value::String("x"),
+                     Value::Null(), Value::Boolean(true)};
+  return {
+      {"Append", [extra](Table* t) { ASSERT_TRUE(t->Append(extra).ok()); }},
+      {"AppendUnchecked", [extra](Table* t) { t->AppendUnchecked(extra); }},
+      {"Reserve", [](Table* t) { t->Reserve(8000); }},
+      {"mutable_rows",
+       [](Table* t) { t->mutable_rows()[5][0] = Value::Integer(-1); }},
+      {"Clear", [](Table* t) { t->Clear(); }},
+  };
+}
+
+/// What `mutator` leaves in the row-built `built`.
+std::vector<std::string> MutatedRowBuilt(const Table& built,
+                                         const Mutator& mutator) {
+  Table rows = built;
+  mutator.apply(&rows);
+  return Render(rows);
+}
+
+TEST(ColumnStoredTableTest, EveryMutatorMaterializesThenMutates) {
+  const Table built = RowBuiltTable();
+  for (const Mutator& mutator : Mutators()) {
+    SCOPED_TRACE(mutator.name);
+    Table table = ColumnStoredCopyOf(built);
+    const auto columns = table.Columnar();
+    const uint64_t version = table.version();
+    mutator.apply(&table);
+    EXPECT_FALSE(table.column_stored());
+    EXPECT_EQ(Render(table), MutatedRowBuilt(built, mutator));
+    if (std::string(mutator.name) != "Reserve") {
+      EXPECT_NE(table.version(), version);
+      EXPECT_NE(table.Columnar().get(), columns.get());
+    }
+    // Row-stored from now on: a second mutation mutates in place.
+    const std::vector<Row>* storage = &table.rows();
+    table.AppendUnchecked({Value::Integer(1), Value::Null(), Value::Null(),
+                           Value::Null(), Value::Null()});
+    EXPECT_EQ(&table.rows(), storage);
+    EXPECT_EQ(table.Columnar()->num_rows, table.num_rows());
+  }
+}
+
+TEST(ColumnStoredTableTest, CopyTakenBeforeAMutationKeepsTheOldContents) {
+  const Table built = RowBuiltTable();
+  const std::vector<std::string> contents = Render(built);
+  for (bool rows_built_first : {false, true}) {
+    for (const Mutator& mutator : Mutators()) {
+      SCOPED_TRACE(std::string(mutator.name) +
+                   (rows_built_first ? " after rows()" : ""));
+      Table original = ColumnStoredCopyOf(built);
+      if (rows_built_first) original.rows();
+      const auto columns = original.Columnar();
+      const Table snapshot = original;
+      const uint64_t version = snapshot.version();
+      mutator.apply(&original);
+      EXPECT_FALSE(original.column_stored());
+      EXPECT_EQ(Render(original), MutatedRowBuilt(built, mutator));
+      EXPECT_TRUE(snapshot.column_stored());
+      EXPECT_EQ(snapshot.version(), version);
+      EXPECT_EQ(snapshot.Columnar().get(), columns.get());
+      EXPECT_EQ(Render(snapshot), contents);
+    }
+  }
+}
+
+TEST(ColumnStoredTableTest, CopiesBuildTheSharedRowsOnce) {
+  const Table built = RowBuiltTable();
+  const Table stored = ColumnStoredCopyOf(built);
+  const std::vector<std::string> contents = Render(built);
+  constexpr int kReaders = 8;
+  std::vector<Table> copies(kReaders, stored);
+  std::vector<const std::vector<Row>*> seen(kReaders, nullptr);
+  std::vector<std::vector<std::string>> rendered(kReaders);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      seen[i] = &copies[i].rows();
+      rendered[i] = Render(copies[i]);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (int i = 0; i < kReaders; ++i) {
+    EXPECT_EQ(seen[i], &stored.rows()) << i;
+    EXPECT_EQ(rendered[i], contents) << i;
+    EXPECT_TRUE(copies[i].column_stored()) << i;
+  }
 }
 
 TEST(RowHashTest, EqualRowsHashEqual) {

@@ -144,6 +144,23 @@ TEST_F(EncodedTableReadTest, NullInCodedSourceFailsTheReusedRun) {
             "Internal: encoded table column 0 is not an integer");
 }
 
+// The same NULL in a column-stored CodedSource: the hand-off reads its
+// columns instead of its rows and fails the run with the same status.
+TEST_F(EncodedTableReadTest, NullInColumnStoredCodedSourceFailsTheReusedRun) {
+  SetUpPurchase();
+  MustMine(kStatement);
+  MustSql("CREATE TABLE Edited AS SELECT * FROM CodedSource");
+  MustSql("INSERT INTO Edited VALUES (2, 1), (NULL, 1)");
+  MustSql("DELETE FROM CodedSource");
+  // Unbudgeted, an INSERT ... SELECT into the emptied table stores columns.
+  system_.sql_engine()->set_memory_limit(-1);
+  MustSql("INSERT INTO CodedSource SELECT * FROM Edited");
+  ASSERT_TRUE(MustTable("CodedSource")->column_stored());
+  const Status status = MineStatus(kStatement);
+  EXPECT_EQ(status.ToString(),
+            "Internal: encoded table column 0 is not an integer");
+}
+
 TEST_F(EncodedTableReadTest, DoubleInCodedSourceFailsTheReusedRun) {
   SetUpPurchase();
   MustMine(kStatement);

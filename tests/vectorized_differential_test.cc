@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "datagen/retail_gen.h"
 #include "engine/data_mining_system.h"
 #include "sql/engine.h"
+#include "storage/storage_manager.h"
 
 namespace minerule {
 namespace {
@@ -501,6 +503,122 @@ class BatchDifferentialTest : public ::testing::TestWithParam<uint64_t> {
     engine_.set_num_threads(1);
   }
 
+  /// One statement of a transcript: its result (rows, affected count or
+  /// error) is recorded, then the stored rows of `dump` when named.
+  struct Step {
+    std::string sql;  // empty: checkpoint the catalog and restore it
+    int64_t budget = kColumnar;  // the batch side's path for this step
+    std::string dump;
+    bool stores_columns = false;  // the batch side leaves `dump` so
+  };
+
+  /// Runs `steps` in order at `threads`: all on rows (`side` kRowPath),
+  /// or each on its step's budget. Checks that `dump` is column-stored
+  /// exactly where a batch-side step says so.
+  std::string Transcript(int64_t side, int threads,
+                         const std::vector<Step>& steps) {
+    engine_.set_num_threads(threads);
+    std::string out;
+    for (const Step& step : steps) {
+      engine_.set_memory_limit(side == kRowPath ? kRowPath : step.budget);
+      out += "> " + (step.sql.empty() ? "checkpoint" : step.sql) + "\n";
+      Catalog restored;
+      Catalog* read = &catalog_;
+      if (step.sql.empty()) {
+        out += CheckpointAndRestore(&restored);
+        read = &restored;
+      } else {
+        auto result = engine_.Execute(step.sql);
+        if (!result.ok()) {
+          out += "error: " + result.status().ToString() + "\n";
+        } else {
+          out += "affected " + std::to_string(result.value().affected_rows) +
+                 "\n";
+          for (const std::string& line : RenderRows(result.value().rows)) {
+            out += line + "\n";
+          }
+        }
+      }
+      if (step.dump.empty()) continue;
+      auto table = read->GetTable(step.dump);
+      if (!table.ok()) {
+        out += "no table " + step.dump + "\n";
+        continue;
+      }
+      EXPECT_EQ(table.value()->column_stored(),
+                side == kColumnar && step.stores_columns)
+          << step.sql << " on " << ScanPathName(side) << "@" << threads;
+      out += "== " + step.dump + "\n";
+      for (const std::string& line : RenderRows(table.value()->rows())) {
+        out += line + "\n";
+      }
+    }
+    engine_.set_memory_limit(kColumnar);
+    engine_.set_num_threads(1);
+    return out;
+  }
+
+  /// Checkpoints catalog_ into the test's directory and restores it into
+  /// `restored`; returns "" or the error.
+  std::string CheckpointAndRestore(Catalog* restored) {
+    std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(test.begin(), test.end(), '/', '_');
+    const std::string dir =
+        ::testing::TempDir() + "/minerule_batch_differential_" + test;
+    // A clean slate, so the restore sees this checkpoint alone.
+    std::remove((dir + "/minerule.cat").c_str());
+    Status status = Status::OK();
+    {
+      auto manager = storage::StorageManager::Open(dir);
+      status = manager.ok() ? manager.value()->Checkpoint(catalog_)
+                            : manager.status();
+    }
+    if (status.ok()) {
+      auto manager = storage::StorageManager::Open(dir);
+      status = manager.ok() ? manager.value()->Restore(restored)
+                            : manager.status();
+    }
+    return status.ok() ? "" : "error: " + status.ToString() + "\n";
+  }
+
+  /// Runs `steps` on rows (serially, the reference, and at 8 threads) and
+  /// on each step's path at every thread count, requiring one transcript.
+  /// A divergence reports its first differing line: transcripts run to
+  /// thousands of lines, too many for a full diff.
+  void ExpectSameTranscript(const std::vector<Step>& steps) {
+    const std::string baseline = Transcript(kRowPath, 1, steps);
+    EXPECT_EQ(FirstDifference(baseline, Transcript(kRowPath, 8, steps)), "")
+        << "row@8";
+    for (int threads : kThreadCounts) {
+      EXPECT_EQ(
+          FirstDifference(baseline, Transcript(kColumnar, threads, steps)),
+          "")
+          << "batches@" << threads;
+    }
+  }
+
+  /// "" when `actual` equals `expected`, else their first differing line.
+  static std::string FirstDifference(const std::string& expected,
+                                     const std::string& actual) {
+    if (actual == expected) return "";
+    size_t begin = 0;
+    size_t line = 1;
+    while (begin < expected.size() && begin < actual.size()) {
+      const size_t end = std::min(expected.find('\n', begin), expected.size());
+      const size_t got = std::min(actual.find('\n', begin), actual.size());
+      if (expected.compare(begin, end - begin, actual, begin, got - begin) !=
+          0) {
+        return "line " + std::to_string(line) + ": expected \"" +
+               expected.substr(begin, end - begin) + "\", got \"" +
+               actual.substr(begin, got - begin) + "\"";
+      }
+      begin = end + 1;
+      ++line;
+    }
+    return "line " + std::to_string(line) + ": one transcript ends early";
+  }
+
   Catalog catalog_;
   sql::SqlEngine engine_;
 };
@@ -607,6 +725,85 @@ TEST_P(BatchDifferentialTest, InsertSelectWithReorderedColumns) {
       "INSERT INTO T_out (a) SELECT s FROM P",
   };
   for (const char* sql : statements) ExpectSame(sql, fresh_table, "T_out");
+}
+
+// INSERT ... SELECT into an empty table stores the produced columns on the
+// batch path: every typed encoding with NULLs, unnamed columns left NULL,
+// NEXTVAL numbering, aggregate and join outputs. Each target is then read
+// back — scanned, filtered under a budget, aggregated, limited, joined after
+// ANALYZE, checkpointed and restored, deleted from and appended to — and
+// every transcript must equal the never-spilling row path's, where no
+// INSERT stores columns.
+TEST_P(BatchDifferentialTest, InsertSelectStoresColumnsOfEveryType) {
+  GenerateTables(GetParam());
+  const char* inserts[] = {
+      "INSERT INTO T_all SELECT k, d, s, dt, k > 60 FROM P",
+      "INSERT INTO T_all (dt, s) SELECT P.dt, P.s FROM P WHERE P.d > 50",
+      "INSERT INTO T_all (i, s, d) SELECT seq.NEXTVAL, s, d FROM P "
+      "WHERE k < 90",
+      "INSERT INTO T_all (s, i, d, dt) SELECT P.s, COUNT(*), AVG(P.d), "
+      "MAX(P.dt) FROM P GROUP BY P.s",
+      "INSERT INTO T_all (i, s, dt, b) SELECT P.id, Q.name, P.dt, "
+      "P.d < Q.w FROM P, Q WHERE P.k = Q.k",
+  };
+  for (const char* insert : inserts) {
+    SCOPED_TRACE(insert);
+    ExpectSameTranscript({
+        {"DROP TABLE IF EXISTS T_all"},
+        {"CREATE TABLE T_all (i INTEGER, d DOUBLE, s VARCHAR, dt DATE, "
+         "b BOOLEAN)"},
+        {"DROP SEQUENCE IF EXISTS seq"},
+        {"CREATE SEQUENCE seq"},
+        {insert, kColumnar, "T_all", true},
+        {"SELECT * FROM T_all"},
+        {"SELECT i, s, dt FROM T_all WHERE d > 20 OR b ORDER BY i, s, dt",
+         kRowPath},
+        {"SELECT s, COUNT(*), COUNT(b), SUM(d), MIN(dt), MAX(i) FROM T_all "
+         "GROUP BY s"},
+        {"SELECT * FROM T_all LIMIT 5"},
+        {"ANALYZE T_all", kColumnar, "T_all", true},
+        {"SELECT T_all.i, Q.name, R.tag FROM T_all, Q, R "
+         "WHERE T_all.i = Q.k AND Q.j = R.j AND T_all.s <> R.tag"},
+        {"", kColumnar, "T_all"},
+        {"DELETE FROM T_all WHERE d < 30 OR s = 's3'", kColumnar, "T_all"},
+        {"INSERT INTO T_all (i, s) SELECT id, s FROM P WHERE id < 100",
+         kColumnar, "T_all"},
+    });
+  }
+}
+
+// Where Append would store something else, or more than the batches, the
+// sink keeps the row path: an INTEGER widened into a DOUBLE column, a
+// non-empty target, VALUES, a type error, and an INSERT of no rows, which
+// leaves the target empty for the next one to store columns.
+TEST_P(BatchDifferentialTest, InsertSelectStoresColumnsOnlyWhereAppendWould) {
+  GenerateTables(GetParam());
+  const std::vector<Step> fresh = {
+      {"DROP TABLE IF EXISTS T_all"},
+      {"CREATE TABLE T_all (i INTEGER, d DOUBLE, s VARCHAR, dt DATE, "
+       "b BOOLEAN)"},
+  };
+  const std::vector<std::vector<Step>> cases = {
+      {{"INSERT INTO T_all (d, i) SELECT k, id FROM P", kColumnar, "T_all"},
+       {"SELECT d, i FROM T_all WHERE d > 100"}},
+      {{"INSERT INTO T_all VALUES (-1, 2.5, 'x', NULL, TRUE)", kColumnar,
+        "T_all"},
+       {"INSERT INTO T_all SELECT k, d, s, dt, k > 60 FROM P", kColumnar,
+        "T_all"}},
+      {{"INSERT INTO T_all (i) SELECT s FROM P", kColumnar, "T_all"}},
+      {{"INSERT INTO T_all SELECT k, d, s, dt, k > 60 FROM P WHERE id < 0",
+        kColumnar, "T_all"},
+       {"INSERT INTO T_all SELECT k, d, s, dt, k > 60 FROM P WHERE id < 1500",
+        kColumnar, "T_all", true},
+       {"INSERT INTO T_all SELECT k, d, s, dt, k > 60 FROM P WHERE id < 5",
+        kColumnar, "T_all"}},
+  };
+  for (const std::vector<Step>& steps : cases) {
+    SCOPED_TRACE(steps.front().sql);
+    std::vector<Step> transcript = fresh;
+    transcript.insert(transcript.end(), steps.begin(), steps.end());
+    ExpectSameTranscript(transcript);
+  }
 }
 
 TEST_P(BatchDifferentialTest, LimitEvaluatesOnlyTheRowsItTakes) {
@@ -741,6 +938,49 @@ TEST(MineRuleVectorizedTest, WholePipelineBitIdenticalAcrossEngines) {
             << threads << " threads for: " << text;
       }
     }
+  }
+}
+
+// The preprocessor's encoded tables are INSERT ... SELECT targets: without
+// a budget they stay column-stored up to the core's hand-off, which reads
+// their columns; under a budget they are row-stored.
+TEST(MineRuleVectorizedTest, EncodedTablesColumnStoredOnlyWithoutABudget) {
+  for (int64_t budget : kScanPaths) {
+    SCOPED_TRACE(ScanPathName(budget));
+    Catalog catalog;
+    mr::DataMiningSystem system(&catalog);
+    datagen::RetailParams params;
+    params.num_customers = 120;
+    params.num_items = 40;
+    ASSERT_TRUE(
+        datagen::GenerateRetailTable(&catalog, "Purchase", params).ok());
+    mr::MiningOptions options;
+    options.memory_limit = budget;
+    options.keep_encoded_tables = true;
+    auto stats = system.ExecuteMineRule(
+        "MINE RULE S AS SELECT DISTINCT 1..n item AS BODY, 1..1 item AS HEAD "
+        "FROM Purchase GROUP BY customer EXTRACTING RULES WITH SUPPORT: 0.05, "
+        "CONFIDENCE: 0.3",
+        options);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_GT(stats.value().output.num_rules, 0);
+    for (const char* name : {"Bset", "CodedSource"}) {
+      auto table = catalog.GetTable(name);
+      ASSERT_TRUE(table.ok()) << name;
+      EXPECT_GT(table.value()->num_rows(), 0u) << name;
+      EXPECT_EQ(table.value()->column_stored(), budget == kColumnar) << name;
+    }
+    if (budget != kColumnar) continue;
+    // A scan over the stored columns reports their bytes.
+    system.sql_engine()->set_memory_limit(kColumnar);
+    auto explain = system.ExecuteSql("EXPLAIN ANALYZE SELECT Gid FROM "
+                                     "CodedSource");
+    ASSERT_TRUE(explain.ok()) << explain.status();
+    const auto& profile = explain.value().profile;
+    ASSERT_FALSE(profile.empty());
+    EXPECT_EQ(profile.back().name, "TableScan");
+    EXPECT_EQ(profile.back().Counter("est_bytes"),
+              catalog.GetTable("CodedSource").value()->Columnar()->ByteSize());
   }
 }
 
